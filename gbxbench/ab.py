@@ -8,7 +8,9 @@ PARENT and CHANGE are checkouts of the two commits, each holding the same
 gbxbench/ (a change that claims a gain does not edit the benchmark). Pair
 i runs seed FIRST_SEED + i on both sides, one after the other on the same
 machine, alternating which side goes first; run length comes from
-BENCHMARK.json. Results land in OUT/parent/ and OUT/change/ as
+BENCHMARK.json. Each side builds into its own OUT/build-parent/ or
+OUT/build-change/, whatever CARGO_TARGET_DIR says, so each side times its
+own commit. Results land in OUT/parent/ and OUT/change/ as
 WORKLOAD-seedN.json, and the comparison is printed at the end.
 """
 import argparse
@@ -22,10 +24,17 @@ sys.path.insert(0, HERE)
 import compare  # noqa: E402
 
 
-def run_one(checkout, workload, seed, seconds, out_path):
+def side_env(out, side):
+    """The environment one side's runs get: its own build directory."""
+    return {**os.environ,
+            "CARGO_TARGET_DIR": os.path.join(os.path.abspath(out), "build-" + side)}
+
+
+def run_one(checkout, env, workload, seed, seconds, out_path):
     cmd = ["python3", "gbxbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+                          text=True)
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
@@ -58,7 +67,8 @@ def main():
         for workload in workloads:
             for side in order:
                 path = os.path.join(args.out, side, f"{workload}-seed{seed}.json")
-                run_one(sides[side], workload, seed, bench["run_seconds"], path)
+                run_one(sides[side], side_env(args.out, side), workload, seed,
+                        bench["run_seconds"], path)
                 print(f"pair {i + 1}/{args.pairs} {workload} {side} done",
                       flush=True)
     return compare.main([os.path.join(args.out, "parent"),

@@ -21,9 +21,11 @@ verdict:
               noise, unless every change run beats every parent run;
   ok          none of the above.
 
-A gain does not count when the change failed more operations than the
-parent. The exit status is 1 when any pairing regressed or any run was
-not correct, else 0. One row per workload is printed, then the details.
+A change that failed more operations than the parent is a problem of its
+own, and none of its metrics counts as a gain. So is a metric without a
+value. The exit status is 1 when any pairing regressed, any run was not
+correct, or any problem was found, else 0. One row per workload is
+printed, then the details.
 """
 import argparse
 import glob
@@ -110,6 +112,9 @@ def compare(parent_runs, change_runs, metrics):
                     problems.append(f"{workload} seed {seed}: {side} run not correct")
         p_failed = sum(p_runs[s]["failed"] for s in seeds)
         c_failed = sum(c_runs[s]["failed"] for s in seeds)
+        if c_failed > p_failed:
+            problems.append(f"{workload}: change failed {c_failed} operations, "
+                            f"parent {p_failed}")
         for m in metrics:
             name = m["name"]
             try:
@@ -117,6 +122,10 @@ def compare(parent_runs, change_runs, metrics):
                 cv = [c_runs[s]["metrics"][name]["value"] for s in seeds]
             except KeyError:
                 problems.append(f"{workload}: metric {name} missing")
+                continue
+            if any(not isinstance(v, (int, float)) for v in pv + cv):
+                problems.append(f"{workload}: metric {name} has no value "
+                                "in some run")
                 continue
             v, detail = verdict(pv, cv, m["better"], m["bound"])
             if v == "gain" and c_failed > p_failed:

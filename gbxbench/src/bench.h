@@ -3,8 +3,9 @@
 #ifndef GBXBENCH_BENCH_H_
 #define GBXBENCH_BENCH_H_
 
+#include <sched.h>
+
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/gbabs.h"
 #include "data/dataset.h"
 #include "ml/gb_knn.h"
+#include "result.h"
 #include "serve/registry.h"
 #include "trace.h"
 
@@ -71,23 +73,6 @@ struct Setup {
   std::shared_ptr<gbx::ModelRegistry> registry;
 };
 
-/// Everything the run prints.
-struct Result {
-  bool correct = true;
-  std::int64_t attempted = 0;
-  std::int64_t failed = 0;
-  std::vector<std::string> problems;  // why `correct` is false
-  std::map<std::string, std::pair<double, std::string>> metrics;  // value, unit
-
-  void Set(const std::string& name, double value, const std::string& unit) {
-    metrics[name] = {value, unit};
-  }
-  void Fail(const std::string& why) {
-    correct = false;
-    problems.push_back(why);
-  }
-};
-
 struct RunContext {
   const WorkloadSpec* spec = nullptr;
   std::uint64_t seed = 1;
@@ -99,8 +84,32 @@ struct RunContext {
 };
 
 /// Sets the library pool size (GBX_THREADS) of calls that do not name
-/// one. Called once, before any thread starts.
-void PinLibraryThreads(int threads);
+/// one, and starts the pool's workers for calls that name `nproc`, so
+/// that no worker starts later under a CpuRotation's mask. Called once,
+/// before any other thread starts.
+void PinLibraryThreads(int threads, int nproc);
+
+/// Moves the calling thread round the CPUs the process may use, one CPU
+/// per Next(), and gives it back its own CPU mask when destroyed. The
+/// vCPUs of a shared host differ in speed by up to ~70 % (their hardware
+/// siblings run other tenants' work), and the scheduler keeps a thread on
+/// one of them, so a serial phase would otherwise run at the speed of
+/// whichever CPU it landed on. Threads started meanwhile would inherit
+/// the one-CPU mask: start none.
+class CpuRotation {
+ public:
+  CpuRotation();
+  ~CpuRotation();
+  CpuRotation(const CpuRotation&) = delete;
+  CpuRotation& operator=(const CpuRotation&) = delete;
+
+  void Next();
+
+ private:
+  cpu_set_t saved_;
+  std::vector<int> cpus_;
+  std::size_t next_ = 0;
+};
 
 // --- set-up (setup.cc) ---
 /// Generates the workload's data and, for serving workloads, fits,
@@ -124,7 +133,8 @@ class GbabsPasses {
   void Run(double seconds);
   /// The first pass's results (the granulations offline workloads serve).
   const std::vector<gbx::GbabsResult>& first() const { return first_; }
-  /// One pass's time: the sum over inputs of each one's median.
+  /// One pass's time: the sum over inputs of each one's 10th percentile
+  /// over passes.
   double PassSeconds() const;
   int passes() const { return static_cast<int>(seconds_.front().size()); }
 
@@ -153,7 +163,9 @@ class ServingSession {
   bool ok() const { return ok_; }
   /// Fixed-rate windows of the workload's run, in total.
   int TotalWindows() const;
-  /// An unrecorded lead-in, then `count` windows at the nominal rate.
+  /// `count` windows at the nominal rate, each after an unrecorded
+  /// lead-in, with the driver and the server's threads on one CPU, the
+  /// next CPU each window.
   void Windows(int count);
   /// Reports p50 (and p99) over every window, climbs the rate ladder,
   /// and stops the server.

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -130,10 +131,15 @@ std::vector<Record> OpenLoopClient::Run(double rate, double start,
     }
     // Busy-poll rather than sleep until the next due time: on a virtual
     // machine an idle vCPU can take milliseconds to wake, which would show
-    // up as generator lateness instead of server latency.
+    // up as generator lateness instead of server latency. Yield while
+    // nothing is ready, so that a server thread woken on this CPU runs at
+    // once.
     timespec ts{0, 0};
     const int rc = ::ppoll(pfds.data(), nconn, &ts, nullptr);
-    if (rc <= 0) continue;
+    if (rc <= 0) {
+      ::sched_yield();
+      continue;
+    }
     for (std::size_t k = 0; k < nconn; ++k) {
       Conn& c = conns_[k];
       if (c.broken || pfds[k].revents == 0) continue;

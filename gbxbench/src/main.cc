@@ -30,9 +30,9 @@ namespace {
 
 // The gated end-to-end metrics (BENCHMARK.json "end_to_end"). The p99 at
 // the nominal rate and the error rate are printed with them on stderr but
-// not gated: p99 swings by more than 100 % between runs on a virtual
-// machine (see README.md), and the error rate is 0, which no bound can be
-// a share of; failures are the result's "failed" count.
+// not gated: p99 jumps far past any bound when a run meets host
+// contention (see README.md), and the error rate is 0, which no bound can
+// be a share of; failures are the result's "failed" count.
 const char* const kEndToEnd[] = {"gbabs_s", "p50_ms", "max_qps_at_slo",
                                  "setup_s", "peak_rss_mb"};
 
@@ -46,8 +46,8 @@ bool IsEndToEnd(const std::string& name) {
 // Set-up repeats at least this often, and until it has taken this long,
 // so its median is steady even when one set-up takes milliseconds.
 constexpr int kMinSetups = 3;
-constexpr int kMaxSetups = 25;
-constexpr double kMinSetupTotalS = 0.5;
+constexpr int kMaxSetups = 400;
+constexpr double kMinSetupTotalS = 1.0;
 
 int Usage() {
   std::fprintf(stderr,
@@ -71,26 +71,6 @@ double PeakRssMb() {
   rusage usage{};
   ::getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB -> MiB
-}
-
-void PrintResult(const Result& res, bool trace) {
-  std::string out = "{\"correct\": ";
-  out += res.correct ? "true" : "false";
-  out += ", \"attempted\": " + std::to_string(res.attempted);
-  out += ", \"failed\": " + std::to_string(res.failed);
-  out += ", \"metrics\": {";
-  bool first = true;
-  for (const auto& [name, vu] : res.metrics) {
-    if (IsEndToEnd(name) == trace) continue;
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.17g",
-                  std::isfinite(vu.first) ? vu.first : -1.0);
-    out += std::string(first ? "" : ", ") + "\"" + name + "\": {\"value\": " +
-           value + ", \"unit\": \"" + vu.second + "\"}";
-    first = false;
-  }
-  out += "}}";
-  std::printf("%s\n", out.c_str());
 }
 
 }  // namespace
@@ -153,7 +133,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  PinLibraryThreads(1);
+  PinLibraryThreads(1, ctx.nproc);
 
   // Set-up, repeated; the last one is kept.
   Setup setup;
@@ -224,7 +204,10 @@ int main(int argc, char** argv) {
     }
   }
   res.Set("peak_rss_mb", PeakRssMb(), "MB");
-
+  const Reported reported = [&](const std::string& name) {
+    return IsEndToEnd(name) != tracer.enabled();
+  };
+  CheckResult(&res, reported);
   for (const std::string& p : res.problems) {
     std::fprintf(stderr, "gbxbench: FAILED CHECK: %s\n", p.c_str());
   }
@@ -234,11 +217,12 @@ int main(int argc, char** argv) {
   };
   std::fprintf(stderr,
                "gbxbench: %s. gbabs_s %.6g s | p50_ms %.6g ms | p99_ms %.6g "
-               "ms (%.0f samples) | max_qps_at_slo %.6g 1/s | error_rate "
-               "%.6g (%lld failed of %lld) | setup_s %.6g s | peak_rss_mb "
-               "%.6g MB\n",
+               "ms (median of %.0f windows of %.0f samples) | max_qps_at_slo "
+               "%.6g 1/s | error_rate %.6g (%lld failed of %lld) | setup_s "
+               "%.6g s | peak_rss_mb %.6g MB\n",
                res.correct ? "correct" : "NOT correct", get("gbabs_s"),
-               get("p50_ms"), get("client.p99_ms"), get("client.p99_samples"),
+               get("p50_ms"), get("client.p99_ms"), get("client.p99_windows"),
+               get("client.p99_samples"),
                get("max_qps_at_slo"),
                res.attempted > 0
                    ? static_cast<double>(res.failed) / res.attempted
@@ -246,6 +230,6 @@ int main(int argc, char** argv) {
                static_cast<long long>(res.failed),
                static_cast<long long>(res.attempted), get("setup_s"),
                get("peak_rss_mb"));
-  PrintResult(res, tracer.enabled());
+  std::printf("%s\n", ResultJson(res, reported).c_str());
   return 0;
 }

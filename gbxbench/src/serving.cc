@@ -3,8 +3,10 @@
 // protocol (payload parse/format), engine (InferenceEngine in-process)
 // and server (client p50 minus engine p50, Server::Stats()).
 #include <dirent.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +32,19 @@ namespace {
 constexpr int kConnections = 4;
 // How long a run waits for replies after the last request was due.
 constexpr double kDrainLimitS = 5.0;
+// Unrecorded requests at the nominal rate before each window, so that
+// connections, engines and caches settle after a move to another CPU.
+//
+// The windows that give p50 run the load driver, the event loop and the
+// workers on a single CPU, the driver yielding it whenever a server
+// thread is ready. Spread over the CPUs, every request wakes a halted
+// vCPU two or three times (event loop, worker, batch timer), and on a
+// shared host such a wake-up waits for the hypervisor: p50 at 2000 qps
+// then read 0.42-1.0 ms on unchanged code, rising with the host's steal
+// time. On one busy CPU the wake-ups stay inside the guest and p50 holds
+// within a few percent. The CPU changes every window, because the vCPUs
+// of a shared host differ in speed. The rate ladder uses every CPU.
+constexpr double kLeadInS = 0.05;
 // Each latency window and ladder rung holds at least this many requests,
 // so p99 has at least 10 samples beyond it. Rungs last at least 0.5 s.
 constexpr double kMinRequestsPerWindow = 1000.0;
@@ -66,11 +81,15 @@ std::map<int, long long> ThreadCpuTicks() {
   return out;
 }
 
+/// Restricts each thread in `tids` (0: the calling thread) to `mask`.
+void SetAffinity(const std::vector<int>& tids, const cpu_set_t& mask) {
+  for (const int tid : tids) ::sched_setaffinity(tid, sizeof(mask), &mask);
+}
+
 struct Window {
   std::vector<double> ok_ms;  // latency from the due time, ok replies
   std::vector<double> lateness_ms;
   std::int64_t sent = 0, ok = 0, shed = 0, other_failed = 0;
-  double last_done = 0.0;
 };
 
 Window Summarize(const std::vector<Record>& recs, std::size_t begin,
@@ -80,7 +99,6 @@ Window Summarize(const std::vector<Record>& recs, std::size_t begin,
     const Record& r = recs[i];
     ++w.sent;
     w.lateness_ms.push_back(Ms(r.sent - r.due));
-    w.last_done = std::max(w.last_done, r.done);
     if (r.outcome == Outcome::kOk) {
       ++w.ok;
       w.ok_ms.push_back(Ms(r.done - r.due));
@@ -142,6 +160,11 @@ struct ServingSession::Impl {
     // Shed replies above the saturation rate are what the ladder looks
     // for, not errors; everything else that is not "ok" is one.
     res.failed += w.other_failed + (shed_fails ? w.shed : 0);
+    if (shed_fails && w.shed + w.other_failed > 0) {
+      res.Fail(std::to_string(w.shed + w.other_failed) + " of " +
+               std::to_string(w.sent) + " requests failed at " +
+               std::to_string(rate) + " qps, the nominal rate");
+    }
     if (CountWrongLabels(recs) > 0) {
       res.Fail("server replies differ from in-process GbKnnClassifier::Predict");
     }
@@ -151,6 +174,21 @@ struct ServingSession::Impl {
   const RunContext& ctx;
   const std::vector<Query>& queries;
   gbx::Server server;
+  /// The threads this process ran before the server started (the driver
+  /// and the library pool); every later one is the server's.
+  std::vector<int> ServerThreads() const {
+    std::vector<int> out;
+    for (const auto& [tid, ticks] : ThreadCpuTicks()) {
+      if (pre_server_tids.count(tid) == 0) out.push_back(tid);
+    }
+    return out;
+  }
+
+  std::set<int> pre_server_tids;
+  // The process's CPU mask, and the CPU the next window runs on.
+  cpu_set_t all_cpus;
+  std::vector<int> cpus;
+  std::size_t next_cpu = 0;
   OpenLoopClient client;
   std::size_t offset = 0;
   std::int64_t sent = 0, ok = 0, failed = 0;
@@ -164,10 +202,18 @@ ServingSession::ServingSession(const RunContext& ctx, const Setup& setup,
                                const std::vector<Query>& queries)
     : impl_(std::make_unique<Impl>(ctx, setup, queries)) {
   Result& res = *ctx.result;
+  for (const auto& [tid, ticks] : ThreadCpuTicks()) {
+    impl_->pre_server_tids.insert(tid);
+  }
   const gbx::Status started = impl_->server.Start();
   if (!started.ok()) {
     res.Fail("server start: " + started.ToString());
     return;
+  }
+  CPU_ZERO(&impl_->all_cpus);
+  ::sched_getaffinity(0, sizeof(impl_->all_cpus), &impl_->all_cpus);
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &impl_->all_cpus)) impl_->cpus.push_back(c);
   }
   const gbx::Status connected =
       impl_->client.Connect(impl_->server.port(), kConnections);
@@ -189,27 +235,34 @@ int ServingSession::TotalWindows() const {
 }
 
 void ServingSession::Windows(int count) {
-  const double rate = impl_->ctx.spec->nominal_qps;
-  const auto before = ThreadCpuTicks();
-  // Lead-in, not measured: connections, engines and caches settle after
-  // whatever ran before.
-  impl_->Send(rate, static_cast<std::int64_t>(rate * 0.1), true);
+  Impl& im = *impl_;
+  const double rate = im.ctx.spec->nominal_qps;
   const std::int64_t per_window =
       static_cast<std::int64_t>(kMinRequestsPerWindow);
-  const auto recs = impl_->Send(rate, per_window * count, true);
-  impl_->CountThreads(before);
+  const auto before = ThreadCpuTicks();
+  std::vector<int> pinned;
   for (int w = 0; w < count; ++w) {
-    impl_->windows.push_back(
-        Summarize(recs, static_cast<std::size_t>(w * per_window),
-                  static_cast<std::size_t>((w + 1) * per_window)));
-  }
-  Tracer* tr = impl_->ctx.tracer;
-  if (tr->enabled()) {
-    for (const Record& r : recs) {
-      const std::int64_t id = tr->Record("client.request", r.due, r.done);
-      tr->Record("client.send_lateness", r.due, r.sent, id);
+    // Each window runs the driver and every server thread on one CPU, the
+    // next one round the machine each time (see kLeadInS).
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(im.cpus[im.next_cpu++ % im.cpus.size()], &one);
+    pinned = im.ServerThreads();
+    pinned.push_back(0);  // the load driver
+    SetAffinity(pinned, one);
+    im.Send(rate, static_cast<std::int64_t>(rate * kLeadInS), true);
+    const auto recs = im.Send(rate, per_window, true);
+    im.windows.push_back(Summarize(recs, 0, recs.size()));
+    Tracer* tr = im.ctx.tracer;
+    if (tr->enabled()) {
+      for (const Record& r : recs) {
+        const std::int64_t id = tr->Record("client.request", r.due, r.done);
+        tr->Record("client.send_lateness", r.due, r.sent, id);
+      }
     }
   }
+  im.CountThreads(before);
+  SetAffinity(pinned, im.all_cpus);
 }
 
 void ServingSession::Finish() {
@@ -218,17 +271,23 @@ void ServingSession::Finish() {
   Result& res = *ctx.result;
   // p50 pools every reply; p99 is the median of the windows' tail
   // percentiles, so one scheduler hiccup moves one window.
-  std::vector<double> all_ok, window_tails, lateness;
+  std::vector<double> all_ok, window_tails, window_samples, lateness;
   double min_tail_pct = 99.0;
   for (const Window& win : im.windows) {
     const Tail tail = TailPercentile(win.ok_ms);
     window_tails.push_back(tail.value);
+    window_samples.push_back(static_cast<double>(tail.samples));
     min_tail_pct = std::min(min_tail_pct, tail.percentile);
     all_ok.insert(all_ok.end(), win.ok_ms.begin(), win.ok_ms.end());
     lateness.insert(lateness.end(), win.lateness_ms.begin(),
                     win.lateness_ms.end());
   }
   const double p50 = Median(all_ok);
+  std::fprintf(stderr, "serve: window p50s (ms):");
+  for (const Window& win : im.windows) {
+    std::fprintf(stderr, " %.3f", Median(win.ok_ms));
+  }
+  std::fprintf(stderr, "\n");
   const double p99 = Median(window_tails);
   const Tail late = TailPercentile(lateness);
   const double late_p50 = Median(lateness);
@@ -251,17 +310,20 @@ void ServingSession::Finish() {
   const auto run_rung = [&](double r) {
     const std::int64_t n = static_cast<std::int64_t>(
         std::ceil(std::max(kMinRequestsPerWindow, 0.5 * r)));
-    const double dur = static_cast<double>(n) / r;
-    const double t0 = Now();
     const auto rung_recs = im.Send(r, n, false);
     const Window w = Summarize(rung_recs, 0, rung_recs.size());
+    std::vector<double> ok_done;
+    for (const Record& rec : rung_recs) {
+      if (rec.outcome == Outcome::kOk) ok_done.push_back(rec.done);
+    }
     Rung g;
     g.offered_qps = r;
     g.sent = w.sent;
     g.ok = w.ok;
     g.failed = w.shed + w.other_failed;
     g.latency = TailPercentile(w.ok_ms);
-    g.achieved_qps = w.ok / std::max(dur, w.last_done - t0);
+    g.achieved_qps = AchievedQps(std::move(ok_done), w.sent,
+                                 rung_recs.front().due, r);
     g.lateness_p50_ms = Median(w.lateness_ms);
     g.lateness_p99_ms = TailPercentile(w.lateness_ms).value;
     std::fprintf(stderr,
@@ -292,7 +354,10 @@ void ServingSession::Finish() {
   res.Set("max_qps_at_slo", max_qps, "1/s");
   res.Set("trace.p50_ms", p50, "ms");
   res.Set("client.p99_ms", p99, "ms");
-  res.Set("client.p99_samples", static_cast<double>(all_ok.size()), "count");
+  // p99 is a median of per-window tails: its sample count is a window's.
+  res.Set("client.p99_samples", Median(window_samples), "count");
+  res.Set("client.p99_windows", static_cast<double>(im.windows.size()),
+          "count");
   res.Set("client.lateness_p99_ms", late.value, "ms");
   res.Set("client.sent", static_cast<double>(im.sent), "count");
   res.Set("client.ok", static_cast<double>(im.ok), "count");
@@ -420,7 +485,9 @@ void ProbeServingLayers(const RunContext& ctx, const Setup& setup,
 
   // engine: InferenceEngine::Predict in-process at the nominal rate, from
   // as many threads as the server has workers: the server's path minus
-  // sockets, framing and the event loop.
+  // sockets, framing and the event loop. As in the p50 windows, every
+  // thread runs on one CPU, which this thread keeps busy, yielding it,
+  // until the callers are done.
   {
     std::int64_t req0 = 0, batch0 = 0;
     for (const auto& snap : snapshots) {
@@ -438,6 +505,18 @@ void ProbeServingLayers(const RunContext& ctx, const Setup& setup,
       bool ok = false;
     };
     std::vector<Sample> samples(static_cast<std::size_t>(n));
+    cpu_set_t saved, one;
+    CPU_ZERO(&saved);
+    ::sched_getaffinity(0, sizeof(saved), &saved);
+    CPU_ZERO(&one);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &saved)) {
+        CPU_SET(c, &one);
+        break;
+      }
+    }
+    SetAffinity({0}, one);
+    std::atomic<int> running{workers};
     const double start = Now() + 0.01;
     std::vector<std::thread> threads;
     for (int t = 0; t < workers; ++t) {
@@ -448,22 +527,29 @@ void ProbeServingLayers(const RunContext& ctx, const Setup& setup,
           const std::size_t j = static_cast<std::size_t>(i) % queries.size();
           const auto [m, row] = QuerySource(setup, j);
           Sample& s = samples[static_cast<std::size_t>(i)];
+          // Timed from the call, not from `due`: a sleeping thread wakes
+          // up to the timer slack (50 us) late, which the busy-polling
+          // load driver does not.
+          const double called = Now();
           const gbx::StatusOr<int> label = snapshots[m]->engine->Predict(
               setup.models[m].queries.Row(row), setup.models[m].queries.cols(),
               &s.timing);
           const double done = Now();
-          s.latency_ms = Ms(done - due);
+          s.latency_ms = Ms(done - called);
           s.ok = label.ok() && *label == queries[j].expected;
-          const std::int64_t id = tr->Record("engine.predict", due, done);
+          const std::int64_t id = tr->Record("engine.predict", called, done);
           const double begin = done - s.timing.total_ms / 1e3;
           const double assembled = begin + s.timing.batch_assembly_ms / 1e3;
           tr->Record("engine.batch_assembly", begin, assembled, id);
           tr->Record("engine.compute", assembled,
                      assembled + s.timing.compute_ms / 1e3, id);
         }
+        running.fetch_sub(1);
       });
     }
+    while (running.load() > 0) ::sched_yield();
     for (std::thread& t : threads) t.join();
+    SetAffinity({0}, saved);
     std::vector<double> lat;
     double assembly = 0.0, compute = 0.0, batch = 0.0;
     for (const Sample& s : samples) {

@@ -1,4 +1,6 @@
 // Workload table, data generation, model set-up and query pools.
+#include <pthread.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
@@ -6,6 +8,7 @@
 #include <utility>
 
 #include "bench.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/paper_suite.h"
 #include "data/scaler.h"
@@ -122,9 +125,9 @@ gbx::Matrix SampleRows(const gbx::Dataset& ds, int count, std::uint64_t seed) {
 const std::vector<WorkloadSpec>& Workloads() {
   static const std::vector<WorkloadSpec> kWorkloads = {
       {.name = "gbabs-suite",
-       .nominal_qps = 2000.0,
+       .nominal_qps = 1000.0,
        .gbabs_share = 0.5,
-       .nominal_share = 0.15,
+       .nominal_share = 0.25,
        .rounds = 1,
        .index_probe_inputs = 13},
       {.name = "gbabs-lowdim",
@@ -142,9 +145,10 @@ const std::vector<WorkloadSpec>& Workloads() {
       {.name = "serve-large",
        .fit_in_setup = true,
        .nominal_qps = 1000.0,
-       .gbabs_share = 0.15,
-       .nominal_share = 0.45,
-       .rounds = 4},
+       .gbabs_share = 0.25,
+       .nominal_share = 0.35,
+       .rounds = 4,
+       .draws = 3},
   };
   return kWorkloads;
 }
@@ -156,8 +160,34 @@ const WorkloadSpec* FindWorkload(const std::string& name) {
   return nullptr;
 }
 
-void PinLibraryThreads(int threads) {
+void PinLibraryThreads(int threads, int nproc) {
   ::setenv("GBX_THREADS", std::to_string(threads).c_str(), 1);
+  gbx::ParallelForRange(nproc, 1, nproc, [](int, int) {});
+}
+
+CpuRotation::CpuRotation() {
+  CPU_ZERO(&saved_);
+  if (::pthread_getaffinity_np(::pthread_self(), sizeof(saved_), &saved_) !=
+      0) {
+    return;  // cpus_ stays empty: Next() does nothing
+  }
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &saved_)) cpus_.push_back(c);
+  }
+}
+
+CpuRotation::~CpuRotation() {
+  if (!cpus_.empty()) {
+    ::pthread_setaffinity_np(::pthread_self(), sizeof(saved_), &saved_);
+  }
+}
+
+void CpuRotation::Next() {
+  if (cpus_.empty()) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpus_[next_++ % cpus_.size()], &one);
+  ::pthread_setaffinity_np(::pthread_self(), sizeof(one), &one);
 }
 
 Setup RunSetup(const RunContext& ctx) {

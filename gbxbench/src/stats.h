@@ -30,6 +30,14 @@ inline std::size_t NearestRank(double q, std::size_t n) {
                                  1, n);
 }
 
+/// Nearest-rank percentile `q` of `values`; NaN when empty. Below ten
+/// values p10 is the minimum.
+inline double Percentile(std::vector<double> values, double q) {
+  if (values.empty()) return std::numeric_limits<double>::quiet_NaN();
+  std::sort(values.begin(), values.end());
+  return values[NearestRank(q, values.size()) - 1];
+}
+
 struct Tail {
   /// The percentile reported: 99 when the sample supports it, lower when
   /// fewer than `min_beyond` samples would lie beyond p99, 100 (the
@@ -62,6 +70,24 @@ inline Tail TailPercentile(std::vector<double> values,
   tail.percentile = 100.0;
   tail.value = values.back();
   return tail;
+}
+
+/// The rate at which a rung's replies came back: the first 99 % of its
+/// `sent` requests, as ok replies, over the time from the first due time
+/// to the reply that completed them, plus one send interval (so a server
+/// that answers at once achieves exactly `rate`). A server that cannot
+/// keep up falls behind on the whole rung and achieves its capacity. The
+/// last 1 % is left out: one host stall at the very end of a rung would
+/// otherwise read as a backlog (10 ms costs 2 % of a 0.5 s rung); the
+/// p99 test judges such stalls. `ok_done` holds the ok replies' completion
+/// times, in seconds like `first_due`.
+inline double AchievedQps(std::vector<double> ok_done, std::int64_t sent,
+                          double first_due, double rate) {
+  if (ok_done.empty() || sent <= 0) return 0.0;
+  std::sort(ok_done.begin(), ok_done.end());
+  const std::size_t k = std::min(
+      ok_done.size(), NearestRank(99.0, static_cast<std::size_t>(sent)));
+  return static_cast<double>(k) / (ok_done[k - 1] - first_due + 1.0 / rate);
 }
 
 /// The fixed rate ladder: rung k offers kLadderBaseQps * 2^(k/8) requests

@@ -1,9 +1,14 @@
-// Tests of the benchmark's own rules (src/stats.h): the tail percentile
-// rule, the rate ladder and the SLO verdict of one rung.
+// Tests of the benchmark's own rules: the tail percentile rule, the rate
+// ladder and the SLO verdict of one rung (src/stats.h), and when a run is
+// correct and how its result line reads (src/result.h).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "result.h"
 #include "stats.h"
 
 namespace {
@@ -32,6 +37,15 @@ void TestMedian() {
   EXPECT(gbxbench::Median({3, 1, 2}) == 2);
   EXPECT(gbxbench::Median({4, 1, 3, 2}) == 2.5);
   EXPECT(std::isnan(gbxbench::Median({})));
+}
+
+void TestPercentile() {
+  EXPECT(gbxbench::Percentile(OneTo(100), 10) == 10);
+  EXPECT(gbxbench::Percentile(OneTo(1000), 10) == 100);
+  // Fewer than ten values: p10 is the minimum.
+  EXPECT(gbxbench::Percentile({7, 3, 5}, 10) == 3);
+  EXPECT(gbxbench::Percentile(OneTo(9), 10) == 1);
+  EXPECT(std::isnan(gbxbench::Percentile({}, 10)));
 }
 
 void TestTailPercentile() {
@@ -71,6 +85,33 @@ void TestLadder() {
   // Neighbouring rungs differ by 2^(1/8), about 9 %.
   const double step = gbxbench::LadderRate(25) / gbxbench::LadderRate(24);
   EXPECT(step > 1.09 && step < 1.091);
+}
+
+void TestAchievedQps() {
+  // 1000 requests at 1000 qps from t = 10 s, each answered 1 ms after it
+  // was due: the rate offered.
+  std::vector<double> done;
+  for (int i = 0; i < 1000; ++i) done.push_back(10.0 + i / 1000.0 + 0.001);
+  EXPECT(std::fabs(gbxbench::AchievedQps(done, 1000, 10.0, 1000.0) -
+                   990.0 / 0.991) < 1e-6);
+  // A 40 ms stall on the last 1 % does not read as a backlog...
+  std::vector<double> stalled = done;
+  for (int i = 990; i < 1000; ++i) stalled[i] += 0.040;
+  EXPECT(gbxbench::AchievedQps(stalled, 1000, 10.0, 1000.0) >= 980.0);
+  // ...but one on the last 2 % does.
+  for (int i = 980; i < 990; ++i) stalled[i] += 0.040;
+  EXPECT(gbxbench::AchievedQps(stalled, 1000, 10.0, 1000.0) < 980.0);
+  // A server that answers 900/s falls behind on the whole rung.
+  std::vector<double> slow;
+  for (int i = 0; i < 1000; ++i) slow.push_back(10.0 + (i + 1) / 900.0);
+  const double slow_qps = gbxbench::AchievedQps(slow, 1000, 10.0, 1000.0);
+  EXPECT(slow_qps > 895.0 && slow_qps < 905.0);
+  // Replies that never came do not count; order does not matter.
+  std::vector<double> half(done.begin(), done.begin() + 500);
+  std::reverse(half.begin(), half.end());
+  EXPECT(std::fabs(gbxbench::AchievedQps(half, 1000, 10.0, 1000.0) -
+                   500.0 / 0.501) < 1e-6);
+  EXPECT(gbxbench::AchievedQps({}, 1000, 10.0, 1000.0) == 0.0);
 }
 
 Rung Good(double rate) {
@@ -176,14 +217,47 @@ void TestMaxQpsAtSlo() {
   EXPECT(static_cast<int>(s5.offered.size()) == 3 * attempts);
 }
 
+void TestResult() {
+  const gbxbench::Reported end_to_end = [](const std::string& name) {
+    return name.find('.') == std::string::npos;
+  };
+  // A clean run stays correct; metrics of the other set are not printed.
+  gbxbench::Result ok;
+  ok.attempted = 10;
+  ok.Set("p50_ms", 0.5, "ms");
+  ok.Set("client.p99_ms", std::nan(""), "ms");
+  gbxbench::CheckResult(&ok, end_to_end);
+  EXPECT(ok.correct);
+  EXPECT(gbxbench::ResultJson(ok, end_to_end) ==
+         "{\"correct\": true, \"attempted\": 10, \"failed\": 0, "
+         "\"metrics\": {\"p50_ms\": {\"value\": 0.5, \"unit\": \"ms\"}}}");
+  // One failed operation (a shed or deadline reply at the nominal rate,
+  // say) makes the run not correct: error_rate must be 0.
+  gbxbench::Result failed = ok;
+  failed.failed = 1;
+  gbxbench::CheckResult(&failed, end_to_end);
+  EXPECT(!failed.correct && failed.problems.size() == 1);
+  // A reported metric without a value (p50 over no ok reply) makes the
+  // run not correct and reads null, never a number.
+  gbxbench::Result empty = ok;
+  empty.Set("p50_ms", std::numeric_limits<double>::quiet_NaN(), "ms");
+  gbxbench::CheckResult(&empty, end_to_end);
+  EXPECT(!empty.correct);
+  EXPECT(gbxbench::ResultJson(empty, end_to_end).find(
+             "\"p50_ms\": {\"value\": null, ") != std::string::npos);
+}
+
 }  // namespace
 
 int main() {
   TestMedian();
+  TestPercentile();
   TestTailPercentile();
   TestLadder();
+  TestAchievedQps();
   TestRungVerdict();
   TestMaxQpsAtSlo();
+  TestResult();
   if (failures > 0) {
     std::fprintf(stderr, "%d expectation(s) failed\n", failures);
     return 1;

@@ -4,6 +4,7 @@ import os
 import sys
 import tempfile
 import unittest
+from contextlib import redirect_stdout
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import compare  # noqa: E402
@@ -82,6 +83,9 @@ class VerdictTest(unittest.TestCase):
 
 
 class CompareDirectoriesTest(unittest.TestCase):
+    METRICS = [{"name": "p50_ms", "unit": "ms", "better": "lower",
+                "bound": 0.1}]
+
     def write(self, directory, workload, seed, value, failed=0, correct=True):
         result = {"correct": correct, "attempted": 10, "failed": failed,
                   "metrics": {"p50_ms": {"value": value, "unit": "ms"}}}
@@ -99,10 +103,39 @@ class CompareDirectoriesTest(unittest.TestCase):
                 self.write(c, "gbabs-suite", seed, v * 1.5)
             rows, problems = compare.compare(compare.load_runs(p),
                                              compare.load_runs(c), metrics)
-        self.assertEqual(problems, [])
         verdicts = {(w, m): v for w, m, v, _ in rows}
         self.assertEqual(verdicts[("serve-small", "p50_ms")], "ok")
         self.assertEqual(verdicts[("gbabs-suite", "p50_ms")], "regressed")
+        # More failed operations are a problem of their own, whatever the
+        # metrics say.
+        self.assertEqual(len(problems), 1)
+        self.assertIn("serve-small: change failed 10 operations", problems[0])
+
+    def test_more_failures_fail_the_comparison(self):
+        with tempfile.TemporaryDirectory() as p, tempfile.TemporaryDirectory() as c:
+            for seed, v in enumerate(PARENT, start=1):
+                self.write(p, "serve-small", seed, v)
+                self.write(c, "serve-small", seed, v, failed=1 if seed == 3 else 0)
+            with open(os.devnull, "w") as null, redirect_stdout(null):
+                status = compare.main([p, c, "--benchmark",
+                                       self.benchmark_file(p)])
+        self.assertEqual(status, 1)
+
+    def test_a_metric_without_a_value_is_a_problem(self):
+        with tempfile.TemporaryDirectory() as p, tempfile.TemporaryDirectory() as c:
+            self.write(p, "serve-large", 1, 1.0)
+            self.write(c, "serve-large", 1, None)
+            rows, problems = compare.compare(compare.load_runs(p),
+                                             compare.load_runs(c), self.METRICS)
+        self.assertEqual(rows, [])
+        self.assertEqual(problems,
+                         ["serve-large: metric p50_ms has no value in some run"])
+
+    def benchmark_file(self, directory):
+        path = os.path.join(directory, "BENCHMARK.json")
+        with open(path, "w") as f:
+            json.dump({"end_to_end": self.METRICS}, f)
+        return path
 
     def test_incorrect_runs_and_missing_pairs_are_problems(self):
         metrics = [{"name": "p50_ms", "unit": "ms", "better": "lower",
