@@ -5,12 +5,11 @@
 //   BM_DrainKnn         — RD-GBG's neighbor shape: k-NN queries against a
 //                         point set that shrinks as queried points are
 //                         removed (strategy:0 flat rescan, strategy:1
-//                         DynamicKdTree, strategy:2 metric BallTree, both
-//                         trees with tombstones + amortized rebuild).
-//                         Flat is O(n·d) per query; a tree pays O(log n)
-//                         amortized while its pruning holds, so the gap
-//                         widens with n and closes with d — the ball-tree
-//                         closes later than the KD-tree.
+//                         DynamicKdTree with tombstones + amortized
+//                         rebuild). Flat is O(n·d) per query; the tree
+//                         pays O(log n) amortized while its pruning
+//                         holds, so the gap widens with n and closes
+//                         with d.
 //   BM_SurfaceGapDrain  — RD-GBG's conflict-radius shape: ball i is
 //                         queried for min_j<i (dist − r_j), then
 //                         inserted — exactly the r_conf pass's
@@ -18,8 +17,10 @@
 //                         (O(B²) total), strategy:3 the incremental
 //                         BallSurfaceIndex (sublinear per query).
 //   BM_CenterSurfaceKnn — GB-kNN's center shape: KNearestSurface over a
-//                         fixed clustered center set (strategy 0/1/2),
-//                         isolating the center-scan crossover out to the
+//                         fixed clustered center set vs the production
+//                         flat scan (SIMD surface-score kernel +
+//                         partial_sort; strategy 0/1), isolating the
+//                         center-scan crossover out to the
 //                         dimensionalities where box pruning has died.
 //   BM_GbKnnPredict     — end-to-end GB-kNN inference: a fitted model
 //                         serving a query batch under each strategy.
@@ -52,7 +53,6 @@
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "index/ball_surface_index.h"
-#include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
 #include "ml/gb_knn.h"
 #include "simd/simd.h"
@@ -95,10 +95,9 @@ void FlatKnnStep(const Matrix& pts, const std::vector<int>& live,
   benchmark::DoNotOptimize(scratch->data());
 }
 
-template <typename Tree>
 void DrainWithTree(const Matrix& pts, int n, int k) {
   Pcg32 rng(7);
-  Tree tree(&pts);
+  DynamicKdTree tree(&pts);
   const int kQueries = std::min(2000, n);
   for (int step = 0; step < kQueries; ++step) {
     // Query at a random live point, then remove it — the shrinking
@@ -123,9 +122,7 @@ void BM_DrainKnn(benchmark::State& state) {
 
   for (auto _ : state) {
     if (strategy == 1) {
-      DrainWithTree<DynamicKdTree>(pts, n, kNeighbors);
-    } else if (strategy == 2) {
-      DrainWithTree<BallTree>(pts, n, kNeighbors);
+      DrainWithTree(pts, n, kNeighbors);
     } else {
       Pcg32 rng(7);
       std::vector<int> live(n);
@@ -153,7 +150,7 @@ void BM_DrainKnn(benchmark::State& state) {
 
 BENCHMARK(BM_DrainKnn)
     ->ArgNames({"n", "d", "strategy"})
-    ->ArgsProduct({{2000, 8000, 20000, 50000}, {8, 16}, {0, 1, 2}})
+    ->ArgsProduct({{2000, 8000, 20000, 50000}, {8, 16}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -163,8 +160,7 @@ BENCHMARK(BM_DrainKnn)
 // isotropic Gaussian blobs (every dimension carries independent signal —
 // distance concentration at its worst), and rotated
 // informative-subspace data (low intrinsic dimensionality at any
-// ambient d, EffectiveDimension ≈ 3.5 — the structure real tabular
-// data carries, and the regime kAuto's d_eff gate detects).
+// ambient d — the structure real tabular data carries).
 struct BallSet {
   Matrix centers;
   std::vector<double> radii;
@@ -253,8 +249,9 @@ BENCHMARK(BM_SurfaceGapDrain)
 // KD-tree's box pruning has concentrated away. On the isotropic
 // geometry the flat scan retakes the lead past d~10 — distance
 // concentration is physics — while on the structured (low intrinsic
-// dimension) geometry both trees keep multiplying, with the ball-tree's
-// metric pruning ahead of the boxes from d>=16.
+// dimension) geometry the tree keeps pace longer. The flat column is
+// the production scan: GbKnnClassifier's kFlat path for one query
+// (serially — the pool parallelism lives a level up).
 void CenterSurfaceKnnImpl(benchmark::State& state, bool structured) {
   const int m = static_cast<int>(state.range(0));
   const int d = static_cast<int>(state.range(1));
@@ -265,13 +262,12 @@ void CenterSurfaceKnnImpl(benchmark::State& state, bool structured) {
   const Matrix& queries = CachedBalls(kQueries, d, structured).centers;
 
   std::unique_ptr<DynamicKdTree> kd;
-  std::unique_ptr<BallTree> ball;
   if (strategy == 1) {
     kd = std::make_unique<DynamicKdTree>(&balls.centers, balls.radii.data());
-  } else if (strategy == 2) {
-    ball = std::make_unique<BallTree>(&balls.centers, balls.radii.data());
   }
+  const SoaMatrix soa = SoaMatrix::FromMatrix(balls.centers);
 
+  std::vector<double> scores(m);
   std::vector<std::pair<double, int>> dists(m);
   for (auto _ : state) {
     for (int qi = 0; qi < kQueries; ++qi) {
@@ -279,19 +275,10 @@ void CenterSurfaceKnnImpl(benchmark::State& state, bool structured) {
       if (kd != nullptr) {
         const auto top = kd->KNearestSurface(q, kNeighbors);
         benchmark::DoNotOptimize(top.data());
-      } else if (ball != nullptr) {
-        const auto top = ball->KNearestSurface(q, kNeighbors);
-        benchmark::DoNotOptimize(top.data());
       } else {
-        // The flat center scan, as GbKnnClassifier::Predict performs it
-        // (serially — one query's scan; the pool parallelism lives a
-        // level up).
-        for (int i = 0; i < m; ++i) {
-          const double dist =
-              EuclideanDistance(q, balls.centers.Row(i), d);
-          const double r = balls.radii[i];
-          dists[i] = {dist <= r ? dist - r : dist, i};
-        }
+        simd::SurfaceScores(q, soa, balls.radii.data(), 0, m,
+                            scores.data());
+        for (int i = 0; i < m; ++i) dists[i] = {scores[i], i};
         std::partial_sort(dists.begin(), dists.begin() + kNeighbors,
                           dists.end());
         benchmark::DoNotOptimize(dists.data());
@@ -311,13 +298,13 @@ void BM_CenterSurfaceKnnStructured(benchmark::State& state) {
 
 BENCHMARK(BM_CenterSurfaceKnn)
     ->ArgNames({"n", "d", "strategy"})
-    ->ArgsProduct({{2000, 16000}, {8, 16, 24, 32}, {0, 1, 2}})
+    ->ArgsProduct({{2000, 16000}, {8, 16, 24, 32}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 BENCHMARK(BM_CenterSurfaceKnnStructured)
     ->ArgNames({"n", "d", "strategy"})
-    ->ArgsProduct({{2000, 16000}, {16, 24, 32}, {0, 1, 2}})
+    ->ArgsProduct({{2000, 16000}, {16, 24, 32}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -442,7 +429,7 @@ void BM_GbKnnPredict(benchmark::State& state) {
 // index_strategy.cc).
 BENCHMARK(BM_GbKnnPredict)
     ->ArgNames({"n", "strategy"})
-    ->ArgsProduct({{1000, 5000, 20000}, {0, 1, 2, 4, 5}})
+    ->ArgsProduct({{1000, 5000, 20000}, {0, 1, 4, 5}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

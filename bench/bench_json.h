@@ -2,7 +2,7 @@
 // (bench_granulation, bench_index_dynamic): a reporter that keeps the
 // normal console output and additionally tees every measured run into a
 // flat JSON array of rows
-//     {"op": "RdGbgStrategy", "n": 20000, "d": 8, "strategy": "balltree",
+//     {"op": "RdGbgStrategy", "n": 20000, "d": 8, "strategy": "tree",
 //      "simd": "avx512", "ms": 123.4}
 // — the machine-readable perf trajectory committed as BENCH_pr5.json /
 // BENCH_pr9.json and uploaded as a CI artifact. Rows carry the
@@ -31,14 +31,13 @@ namespace gbx {
 namespace benchjson {
 
 /// The one strategy-axis encoding shared by every suite and by the JSON
-/// reporter's name mapping below: 0 flat, 1 tree (KD), 2 balltree,
-/// 3 surface (BallSurfaceIndex vs flat gap scan), 4 auto, 5 sampled.
+/// reporter's name mapping below: 0 flat, 1 tree (KD), 3 surface
+/// (BallSurfaceIndex vs flat gap scan), 4 auto, 5 sampled. Code 2 is
+/// retired, so older ledger rows keep their meaning.
 inline IndexStrategy StrategyFromAxis(int value) {
   switch (value) {
     case 1:
       return IndexStrategy::kTree;
-    case 2:
-      return IndexStrategy::kBallTree;
     case 4:
       return IndexStrategy::kAuto;
     case 5:
@@ -99,8 +98,6 @@ class JsonRowReporter : public benchmark::ConsoleReporter {
         return "flat";
       case 1:
         return "tree";
-      case 2:
-        return "balltree";
       case 3:
         return "surface";
       case 4:

@@ -9,7 +9,7 @@
 #include "core/rd_gbg.h"
 #include "data/synthetic.h"
 #include "index/brute_force.h"
-#include "index/kd_tree.h"
+#include "index/dynamic_kd_tree.h"
 #include "ml/decision_tree.h"
 #include "ml/lgbm.h"
 #include "ml/xgb.h"
@@ -64,7 +64,7 @@ BENCHMARK(BM_PurityGbg)->RangeMultiplier(2)->Range(1000, 8000);
 void BM_KdTreeBuild(benchmark::State& state) {
   const Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    KdTree tree(&ds.x());
+    DynamicKdTree tree(&ds.x());
     benchmark::DoNotOptimize(tree.size());
   }
 }
@@ -72,7 +72,7 @@ BENCHMARK(BM_KdTreeBuild)->Range(1000, 16000);
 
 void BM_KdTreeKnnQuery(benchmark::State& state) {
   const Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));
-  KdTree tree(&ds.x());
+  DynamicKdTree tree(&ds.x());
   int i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.KNearest(ds.row(i), 5));

@@ -91,7 +91,7 @@ struct Args {
   int metrics_dump_sec = 0;  // > 0: periodic Prometheus dump to stderr
   double slow_trace_ms = -1.0;  // < 0: ServerOptions default
   // Runtime-only ball-center scan strategy for GB-kNN (never persisted
-  // in the artifact): auto | flat | tree | balltree | sampled.
+  // in the artifact): auto | flat | tree | sampled.
   IndexStrategy index_strategy = IndexStrategy::kAuto;
   // Target recall of the sampled strategy, in (0, 1]; 1.0 = exact.
   double recall = 1.0;
@@ -131,7 +131,7 @@ int Usage() {
       "                    [--worker-stall-ms X]  (watchdog deadline;\n"
       "                    0 = off)\n"
       "  gbx_serve info    --model-file FILE\n"
-      "common: --index-strategy auto|flat|tree|balltree|sampled\n"
+      "common: --index-strategy auto|flat|tree|sampled\n"
       "        (GB-kNN center scan; runtime-only, artifacts never\n"
       "        persist it)\n"
       "        --recall F   (sampled strategy's target recall in (0,1];\n"
@@ -207,7 +207,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!ParseIndexStrategy(v, &args->index_strategy)) {
         std::fprintf(stderr,
                      "gbx_serve: --index-strategy wants "
-                     "auto|flat|tree|balltree|sampled, got '%s'\n",
+                     "auto|flat|tree|sampled, got '%s'\n",
                      v);
         return false;
       }

@@ -41,15 +41,13 @@
 #include "data/validate.h"      // IWYU pragma: export
 
 // index/ — exact nearest-neighbor search behind every distance-based
-// component: brute-force scan, static KD-tree, and a deletion-capable
-// dynamic KD-tree, one NeighborIndex interface plus the flat/tree
-// strategy knob.
+// component: the deletion-capable KD-tree, the ball-surface index of the
+// r_conf pass, and the brute-force scan the tree is tested against, one
+// NeighborIndex interface plus the flat/tree strategy knob.
 #include "index/ball_surface_index.h"  // IWYU pragma: export
-#include "index/ball_tree.h"       // IWYU pragma: export
 #include "index/brute_force.h"     // IWYU pragma: export
 #include "index/dynamic_kd_tree.h" // IWYU pragma: export
 #include "index/index_strategy.h"  // IWYU pragma: export
-#include "index/kd_tree.h"         // IWYU pragma: export
 
 // simd/ — batched flat-scan distance kernels behind runtime dispatch
 // (GBX_SIMD: scalar|neon|avx2|avx512|auto); bit-exact across levels.

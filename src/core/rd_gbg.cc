@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "data/scaler.h"
 #include "index/ball_surface_index.h"
-#include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
 #include "simd/simd.h"
 
@@ -91,13 +90,10 @@ class LazySortedPrefix {
 // which also keeps the view a consistent snapshot of the U-set exactly
 // like the flat path's entries buffer. Because the query returns the
 // (dist2, index)-sorted prefix of the same total order the flat scan
-// sorts by, the strategies are interchangeable bit-for-bit. Tree is
-// DynamicKdTree or BallTree — both serve KNearestSquared in that exact
-// order, differing only in pruning geometry (boxes vs metric balls).
-template <typename Tree>
+// sorts by, the strategies are interchangeable bit-for-bit.
 class TreeNeighborStream {
  public:
-  TreeNeighborStream(const Tree* tree, const double* query,
+  TreeNeighborStream(const DynamicKdTree* tree, const double* query,
                      int exclude, std::vector<DistEntry>* storage,
                      std::size_t initial_block)
       : tree_(tree),
@@ -134,7 +130,7 @@ class TreeNeighborStream {
     GBX_DCHECK(storage_->size() == target);
   }
 
-  const Tree* tree_;
+  const DynamicKdTree* tree_;
   const double* query_;
   int exclude_;
   std::vector<DistEntry>* storage_;
@@ -185,24 +181,18 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   // Tree strategy: instead of re-scanning the whole undivided set per
   // candidate, a tree follows U — every sample that leaves U (noise,
   // ball member) is tombstoned, and the tree rebuilds itself once the
-  // tombstones outnumber the survivors. kTree prunes with axis-aligned
-  // boxes, kBallTree with the triangle inequality (better at moderate
-  // dimensionality).
-  const IndexStrategy strategy =
-      ResolveRdGbgIndexStrategy(config.index_strategy, n, p, threads, &x);
+  // tombstones outnumber the survivors.
   std::unique_ptr<DynamicKdTree> utree;
-  std::unique_ptr<BallTree> ubtree;
-  if (strategy == IndexStrategy::kTree) {
+  if (ResolveRdGbgIndexStrategy(config.index_strategy, n, p, threads) ==
+      IndexStrategy::kTree) {
     utree = std::make_unique<DynamicKdTree>(&x);
-  } else if (strategy == IndexStrategy::kBallTree) {
-    ubtree = std::make_unique<BallTree>(&x);
   }
   // The r_conf pass switches from the flat per-ball gap scan to the
   // insert-capable BallSurfaceIndex once this many balls exist
   // (kSurfaceIndexNever = stay flat). Both compute the identical
   // min-gap double, so the switch is invisible in the output.
   const int surface_threshold =
-      ResolveRdGbgSurfaceThreshold(config.index_strategy, p, threads);
+      ResolveRdGbgSurfaceThreshold(config.index_strategy, threads);
   std::unique_ptr<BallSurfaceIndex> surface;
   std::vector<int> removed_now;  // U-departures of the current candidate
   const std::size_t initial_block =
@@ -402,24 +392,17 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         }
       };
 
-      // Tree strategies share one shape: stream neighbors from the tree,
-      // then apply the candidate's deferred U-departures as tombstones.
-      const auto run_with_tree = [&](auto* tree) {
-        if (tree->size() <= 1) {
-          state[c] = SampleState::kLowDensity;  // last sample standing
-          return;
-        }
-        TreeNeighborStream neighbors(tree, cx, /*exclude=*/c, &entries,
-                                     initial_block);
-        run_candidate(neighbors);
-        for (int idx : removed_now) tree->Remove(idx);
-      };
+      // Tree strategy: stream neighbors from the tree, then apply the
+      // candidate's deferred U-departures as tombstones.
       if (utree != nullptr) {
-        run_with_tree(utree.get());
-        continue;
-      }
-      if (ubtree != nullptr) {
-        run_with_tree(ubtree.get());
+        if (utree->size() <= 1) {
+          state[c] = SampleState::kLowDensity;  // last sample standing
+          continue;
+        }
+        TreeNeighborStream neighbors(utree.get(), cx, /*exclude=*/c,
+                                     &entries, initial_block);
+        run_candidate(neighbors);
+        for (int idx : removed_now) utree->Remove(idx);
         continue;
       }
 

@@ -47,11 +47,9 @@ struct RdGbgConfig {
   /// How the per-candidate neighbor pass scans the shrinking undivided
   /// set: kFlat is the parallel exhaustive scan, kTree a DynamicKdTree
   /// that follows the U-set with tombstone deletions (asymptotically
-  /// cheaper from ~4k samples in indexable dimensionality), kBallTree a
-  /// metric ball-tree whose triangle-inequality pruning extends tree
-  /// wins to moderate dimensionality, kAuto picks by n and dims
-  /// (index/index_strategy.h). The same knob drives the conflict-radius
-  /// pass: any tree strategy (and kAuto past a measured ball count)
+  /// cheaper from ~4k samples in indexable dimensionality), kAuto picks
+  /// by n and dims (index/index_strategy.h). The same knob drives the
+  /// conflict-radius pass: kTree (and kAuto past a measured ball count)
   /// routes r_conf through an incremental BallSurfaceIndex over the
   /// generated balls instead of the flat per-ball gap scan. Every
   /// strategy consumes the identical (dist2, index)-ordered neighbor

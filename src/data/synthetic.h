@@ -72,10 +72,10 @@ Dataset MakeInformativeHighDim(const HighDimConfig& config, Pcg32* rng);
 /// feature matrix in place. Rotations preserve all pairwise distances,
 /// so class geometry (and every distance-based algorithm's output on
 /// it) is intact, but axis-aligned structure — informative subspaces,
-/// per-dimension spreads — is mixed across all coordinates. That is the
-/// regime separating metric (ball-tree) from axis-aligned (KD-tree)
-/// pruning, and the honest stand-in for real tabular data whose
-/// correlations ignore the coordinate system.
+/// per-dimension spreads — is mixed across all coordinates: the honest
+/// stand-in for real tabular data whose correlations ignore the
+/// coordinate system, and a hard case for axis-aligned (KD-tree)
+/// pruning.
 void RotateFeatures(Matrix* features, Pcg32* rng);
 
 /// Converts relative weights (or balanced, if empty) into exact per-class

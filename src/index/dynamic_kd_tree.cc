@@ -146,10 +146,10 @@ void DynamicKdTree::Rebuild() {
 void DynamicKdTree::SearchKnn(int node_id, const double* query, int k,
                               std::vector<Neighbor>* heap) const {
   // Neighbor::distance holds the squared distance during the search —
-  // the (dist2, index) order BruteForceIndex and the static KdTree rank
-  // by (sqrt can merge distinct squared distances into ties, so ranking
-  // after the sqrt would tie-break differently); KNearest applies the
-  // sqrt once to the k results.
+  // the (dist2, index) order BruteForceIndex ranks by (sqrt can merge
+  // distinct squared distances into ties, so ranking after the sqrt
+  // would tie-break differently); KNearest applies the sqrt once to the
+  // k results.
   const Node& node = nodes_[node_id];
   const int d = points_->cols();
   if (node.split_dim < 0) {

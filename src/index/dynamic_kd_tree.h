@@ -6,11 +6,11 @@
 // *shrinking* undivided set — costs O(n log n) amortized instead of a
 // fresh O(n) scan per candidate.
 //
-// Exact, like the static KdTree: property-tested against a live-filtered
-// brute-force oracle (tests/index_dynamic_test.cc). Two query families:
+// Exact: property-tested against a live-filtered brute-force oracle
+// (tests/index_dynamic_test.cc, tests/index_test.cc). Query families:
 //
 //  - KNearest / RadiusSearch (NeighborIndex): Euclidean distances. Like
-//    BruteForceIndex and the static KdTree, ranking/inclusion happen in
+//    BruteForceIndex, ranking/inclusion happen in
 //    squared space ((dist2, index) order, d2 <= r2 inclusion) and the
 //    sqrt is applied only to the results — bit-identical to what
 //    BruteForceIndex produces over the live points.

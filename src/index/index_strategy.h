@@ -1,16 +1,13 @@
-// Strategy knob for the neighbor-scan hot paths: a parallel flat scan, a
-// (dynamic) KD-tree, or a metric ball-tree. kAuto resolves per workload
-// from the point count and the dimensionality — trees win asymptotically
-// at large n but lose to the cache-friendly flat scan for small n, and
-// axis-aligned-box pruning degrades toward a linear scan as
-// dimensionality grows (distance concentration). The ball-tree's
-// triangle-inequality pruning follows the data's intrinsic structure
-// instead of coordinate boxes, which extends tree wins into the
-// moderate-d regime where the KD-tree already lost — so each call site
-// picks from its own measured crossover surface. Every strategy produces
-// bit-identical results (enforced by thread_determinism_test); the knob
-// trades wall-clock only, which is why it is runtime state and never
-// persisted into model artifacts.
+// Strategy knob for the neighbor-scan hot paths: a parallel flat scan or
+// a (dynamic) KD-tree. kAuto resolves per workload from the point count
+// and the dimensionality — the tree wins asymptotically at large n but
+// loses to the cache-friendly flat scan for small n, and axis-aligned-box
+// pruning degrades toward a linear scan as dimensionality grows
+// (distance concentration) — so each call site picks from its own
+// measured crossover surface. Every strategy produces bit-identical
+// results (enforced by thread_determinism_test); the knob trades
+// wall-clock only, which is why it is runtime state and never persisted
+// into model artifacts.
 #ifndef GBX_INDEX_INDEX_STRATEGY_H_
 #define GBX_INDEX_INDEX_STRATEGY_H_
 
@@ -21,10 +18,9 @@
 namespace gbx {
 
 enum class IndexStrategy {
-  kAuto,      // resolve from n and dims at the call site
-  kFlat,      // exhaustive scan (parallelized where the call site supports it)
-  kTree,      // DynamicKdTree (axis-aligned box pruning)
-  kBallTree,  // BallTree (metric triangle-inequality pruning)
+  kAuto,  // resolve from n and dims at the call site
+  kFlat,  // exhaustive scan (parallelized where the call site supports it)
+  kTree,  // DynamicKdTree (axis-aligned box pruning)
   // Approximate candidate tier: scan a seeded fixed-permutation prefix
   // of the points instead of all of them, sized by an explicit recall
   // knob (GbKnnClassifier::set_recall_target). The ONLY strategy that
@@ -36,79 +32,44 @@ enum class IndexStrategy {
   kSampled,
 };
 
-/// "auto", "flat", "tree", "balltree", or "sampled".
+/// "auto", "flat", "tree", or "sampled".
 const char* IndexStrategyName(IndexStrategy strategy);
 
-/// Parses "auto" / "flat" / "tree" / "balltree" / "sampled" (exact
-/// match). Returns false and leaves `*out` untouched on anything else.
+/// Parses "auto" / "flat" / "tree" / "sampled" (exact match). Returns
+/// false and leaves `*out` untouched on anything else.
 bool ParseIndexStrategy(const std::string& text, IndexStrategy* out);
 
-/// Effective (intrinsic) dimensionality of a point set: the
-/// participation ratio (Σλ)² / Σλ² of its covariance spectrum, computed
-/// through trace identities (trace²(C) / ‖C‖²_F) — no eigendecomposition
-/// — over a deterministic subsample of at most ~2k rows, so the cost is
-/// O(min(n, 2k) · d²). Rotation-invariant: d for isotropic clouds, ≈ the
-/// subspace dimension for data concentrated near a low-dimensional
-/// subspace however it is oriented. This is the cheap signal that
-/// separates "distance concentration kills tree pruning" (d_eff tracks
-/// the ambient d) from "real structure, trees keep winning" (d_eff
-/// stays small as d grows), and it gates kAuto's moderate-d tree tiers
-/// below. Returns dims for degenerate inputs (< 2 rows, zero variance).
-double EffectiveDimension(const Matrix& points);
-
 /// Resolution for RD-GBG's per-candidate neighbor pass over the shrinking
-/// undivided set. The unconditional KD-tree tiers are unchanged from
-/// PR 4: tree at d<=2 from ~4k samples; at d<=4 from ~16k but only up to
-/// 4 worker threads, because the flat scan it replaces parallelizes over
-/// the pool while a tree query is serial. A third tier extends the tree
-/// to moderate ambient dimensionality (d<=16 from ~16k samples) when the
-/// measured EffectiveDimension of `points` (pass the scaled feature
-/// matrix; nullptr disables the tier) certifies low intrinsic
-/// dimensionality — measured on rotated informative-subspace data the
-/// KD-tree is 1.6× ahead of the flat scan at d=8 where isotropic data
-/// hands the flat scan the win. Thresholds in index_strategy.cc.
-/// `num_threads` is the resolved worker count (common/parallel.h).
+/// undivided set: KD-tree at d<=2 from ~4k samples; at d<=4 from ~16k
+/// but only up to 4 worker threads, because the flat scan it replaces
+/// parallelizes over the pool while a tree query is serial; flat
+/// otherwise. Thresholds in index_strategy.cc. `num_threads` is the
+/// resolved worker count (common/parallel.h). The trailing point-matrix
+/// parameter is ignored; it is kept so existing callers compile.
 IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
                                         int dims, int num_threads,
-                                        const Matrix* points = nullptr);
+                                        const Matrix* /*points*/ = nullptr);
 
 /// The ball count at which GenerateRdGbg's conflict-radius (r_conf) pass
 /// switches from the flat parallel gap scan to the incremental
 /// BallSurfaceIndex, or kSurfaceIndexNever to stay flat for the whole
-/// run. kFlat never switches; kTree/kBallTree switch immediately (the
-/// explicit request is also what drives the bit-identity test axes
-/// through the index); kAuto switches once enough balls have accumulated
-/// that the index's sublinear query beats the parallelized O(B) scan —
-/// sooner on one worker than on many, since the flat scan parallelizes
-/// and an index query is serial.
-int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int dims,
-                                 int num_threads);
+/// run. kFlat never switches; kTree switches immediately (the explicit
+/// request is also what drives the bit-identity test axes through the
+/// index); kAuto switches once enough balls have accumulated that the
+/// index's sublinear query beats the parallelized O(B) scan — sooner on
+/// one worker than on many, since the flat scan parallelizes and an
+/// index query is serial.
+int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int num_threads);
 inline constexpr int kSurfaceIndexNever = 0x7fffffff;
 
 /// Resolution for GB-kNN's per-query scan over ball centers
-/// (KNearestSurface): KD-tree from ~4k balls up to d=16; past that
-/// (d<=32) the metric ball-tree takes over, but only when the measured
-/// EffectiveDimension of `centers` (pass the center matrix; nullptr
-/// disables the tier) certifies low intrinsic dimensionality — that is
-/// the regime where its triangle-inequality pruning still bites
-/// (measured 2.1–2.3× over the flat scan at d=24/32 on rotated
-/// informative-subspace centers, ahead of the KD-tree) while on
-/// isotropic centers every tree loses there. `num_threads` is the
-/// resolved worker count; re-measured under GBX_THREADS ∈ {1,4,8} the
-/// crossover is thread-invariant — batch prediction parallelizes over
-/// queries for every strategy — so unlike the RD-GBG resolver the bars
-/// do not scale with it (rationale in index_strategy.cc). Crossovers
-/// measured by bench_index_dynamic.
+/// (KNearestSurface): KD-tree from ~4k balls up to d=16, flat otherwise.
+/// The crossover is thread-invariant — batch prediction parallelizes
+/// over queries for every strategy — so unlike the RD-GBG resolver the
+/// bar does not scale with the worker count (rationale in
+/// index_strategy.cc). Crossovers measured by bench_index_dynamic.
 IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,
-                                         int num_balls, int dims,
-                                         int num_threads,
-                                         const Matrix* centers = nullptr);
-
-/// True when ResolveCenterIndexStrategy(kAuto, num_balls, dims, ...)
-/// would consult the centers matrix — i.e. the EffectiveDimension-gated
-/// ball-tree tier is in play. Callers use it to materialize the center
-/// matrix only when the resolution actually needs it.
-bool CenterResolutionWantsCenters(int num_balls, int dims);
+                                         int num_balls, int dims);
 
 }  // namespace gbx
 

@@ -40,7 +40,7 @@ struct SquaredNeighbor {
 /// operator<) candidates seen so far — the selection idiom every index
 /// implementation shares. After all offers, std::sort_heap with the same
 /// order yields the k best ascending. Keeping the one copy here is what
-/// lets the cross-index bit-identity contracts (KdTree/DynamicKdTree vs
+/// lets the cross-index bit-identity contract (DynamicKdTree vs
 /// BruteForceIndex) rest on a single piece of code.
 template <typename T>
 void OfferToBoundedHeap(std::vector<T>* heap, const T& cand, int k) {

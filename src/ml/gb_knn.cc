@@ -121,38 +121,18 @@ void GbKnnClassifier::RebuildCenterIndex() {
   if (!fitted()) return;
   const int m = balls_.size();
   const int p = balls_.scaled_features().cols();
-  const int threads = ResolveNumThreads(gbg_config_.num_threads);
-  const auto materialize = [&](Matrix* centers, std::vector<double>* radii) {
-    *centers = Matrix(m, p);
-    radii->resize(m);
+  const IndexStrategy backend =
+      ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p);
+  if (backend == IndexStrategy::kTree) {
+    Matrix centers(m, p);
+    std::vector<double> radii(m);
     for (int i = 0; i < m; ++i) {
       const GranularBall& ball = balls_.ball(i);
-      for (int j = 0; j < p; ++j) centers->At(i, j) = ball.center[j];
-      (*radii)[i] = ball.radius;
+      for (int j = 0; j < p; ++j) centers.At(i, j) = ball.center[j];
+      radii[i] = ball.radius;
     }
-  };
-  // Resolve before materializing: only kAuto's EffectiveDimension-gated
-  // ball-tree tier inspects the centers, so the common flat path skips
-  // the O(m·p) copy entirely.
-  Matrix centers;
-  std::vector<double> radii;
-  IndexStrategy backend;
-  if (gbg_config_.index_strategy == IndexStrategy::kAuto &&
-      CenterResolutionWantsCenters(m, p)) {
-    materialize(&centers, &radii);
-    backend = ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p,
-                                         threads, &centers);
-  } else {
-    backend = ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p,
-                                         threads);
-    if (backend == IndexStrategy::kTree ||
-        backend == IndexStrategy::kBallTree) {
-      materialize(&centers, &radii);
-    }
-  }
-  if (backend == IndexStrategy::kTree || backend == IndexStrategy::kBallTree) {
-    center_index_ = std::make_shared<const CenterIndex>(
-        std::move(centers), std::move(radii), backend);
+    center_index_ = std::make_shared<const CenterIndex>(std::move(centers),
+                                                        std::move(radii));
     resolved_ = backend;
     return;
   }
@@ -203,9 +183,8 @@ std::vector<std::pair<double, int>> GbKnnClassifier::ScoredTopK(
     // KNearestSurface ranks balls by the flat scan's exact (score,
     // index) order — score = dist - r inside, dist outside, computed
     // with the identical arithmetic — so its top-k IS the flat
-    // partial_sort's top-k, bit for bit, whichever tree backend is
-    // behind it.
-    const std::vector<Neighbor> top = index->KNearestSurface(q.data(), k);
+    // partial_sort's top-k, bit for bit.
+    const std::vector<Neighbor> top = index->tree.KNearestSurface(q.data(), k);
     GBX_DCHECK(static_cast<int>(top.size()) == k);
     std::vector<std::pair<double, int>> dists;
     dists.reserve(top.size());

@@ -14,7 +14,6 @@
 
 #include "core/rd_gbg.h"
 #include "data/scaler.h"
-#include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
 #include "ml/classifier.h"
 
@@ -77,12 +76,11 @@ class GbKnnClassifier : public Classifier {
   /// Chooses how Predict scans the ball centers: kFlat is the exhaustive
   /// per-query scan (SIMD surface-score kernel over the SoA center
   /// layout, parallelized over the pool for large ball sets), kTree a
-  /// KD-tree and kBallTree a metric ball-tree over the centers, built
-  /// once at Fit/Restore and shared by Predict / PredictBatch / the
-  /// serving engine; kAuto resolves by ball count, dimensionality, and
-  /// worker count; kSampled scans a seeded fixed-permutation prefix
-  /// sized by set_recall_target. Every EXACT strategy returns
-  /// bit-identical predictions — both trees rank balls by the flat
+  /// KD-tree over the centers, built once at Fit/Restore and shared by
+  /// Predict / PredictBatch / the serving engine; kAuto resolves by ball
+  /// count and dimensionality; kSampled scans a seeded fixed-permutation
+  /// prefix sized by set_recall_target. Every EXACT strategy returns
+  /// bit-identical predictions — the tree ranks balls by the flat
   /// scan's exact (score, index) order via KNearestSurface, whose
   /// subtree bound is a certain score lower bound — and kSampled at
   /// recall 1.0 scans everything, so it is bit-identical too (the pair
@@ -96,8 +94,8 @@ class GbKnnClassifier : public Classifier {
   /// starts (as gbx_serve does at load).
   void set_index_strategy(IndexStrategy strategy);
   IndexStrategy index_strategy() const { return gbg_config_.index_strategy; }
-  /// What Predict will actually use: kTree / kBallTree when a center
-  /// index is built, kSampled when the sampled tier is active, kFlat
+  /// What Predict will actually use: kTree when a center index is
+  /// built, kSampled when the sampled tier is active, kFlat
   /// otherwise (always kFlat before Fit/Restore).
   IndexStrategy resolved_index_strategy() const;
 
@@ -120,10 +118,9 @@ class GbKnnClassifier : public Classifier {
                                                      int k) const;
 
  private:
-  // Ball centers as a matrix, radii as per-center weights, and one tree
-  // backend over them serving the surface-distance query
-  // (KNearestSurface) — a KD-tree up to the box-pruning crossover, a
-  // metric ball-tree past it. Heap-allocated as one block so the tree's
+  // Ball centers as a matrix, radii as per-center weights, and a
+  // KD-tree over them serving the surface-distance query
+  // (KNearestSurface). Heap-allocated as one block so the tree's
   // pointers into `centers`/`radii` survive moves of the classifier;
   // shared_ptr keeps the classifier copyable (the index is immutable
   // after construction, so sharing is safe — queries never mutate the
@@ -131,21 +128,13 @@ class GbKnnClassifier : public Classifier {
   struct CenterIndex {
     Matrix centers;
     std::vector<double> radii;
-    std::unique_ptr<DynamicKdTree> kd;  // exactly one backend is set
-    std::unique_ptr<BallTree> ball;
-    CenterIndex(Matrix centers_in, std::vector<double> radii_in,
-                IndexStrategy backend)
-        : centers(std::move(centers_in)), radii(std::move(radii_in)) {
-      if (backend == IndexStrategy::kBallTree) {
-        ball = std::make_unique<BallTree>(&centers, radii.data());
-      } else {
-        kd = std::make_unique<DynamicKdTree>(&centers, radii.data());
-      }
-    }
-    std::vector<Neighbor> KNearestSurface(const double* query, int k) const {
-      return kd != nullptr ? kd->KNearestSurface(query, k)
-                           : ball->KNearestSurface(query, k);
-    }
+    DynamicKdTree tree;
+    CenterIndex(Matrix centers_in, std::vector<double> radii_in)
+        : centers(std::move(centers_in)),
+          radii(std::move(radii_in)),
+          tree(&centers, radii.data()) {}
+    CenterIndex(const CenterIndex&) = delete;  // `tree` points into *this
+    CenterIndex& operator=(const CenterIndex&) = delete;
   };
 
   // Flat-scan backend: centers and radii in the SoA blocked layout the

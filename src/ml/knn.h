@@ -5,7 +5,9 @@
 #ifndef GBX_ML_KNN_H_
 #define GBX_ML_KNN_H_
 
-#include "index/kd_tree.h"
+#include <memory>
+
+#include "index/dynamic_kd_tree.h"
 #include "ml/classifier.h"
 
 namespace gbx {
@@ -23,15 +25,26 @@ class KnnClassifier : public Classifier {
   /// — kNN's "model" is the training data plus the rebuilt KD-tree.
   void Restore(Dataset train);
 
-  bool fitted() const { return tree_ != nullptr; }
+  bool fitted() const { return model_ != nullptr; }
   int k() const { return k_; }
   /// The stored training set (empty before Fit/Restore).
-  const Dataset& train() const { return train_; }
+  const Dataset& train() const;
 
  private:
+  // The training set and the KD-tree over its features, heap-allocated
+  // as one block so the tree's pointer into `train` survives moves of
+  // the classifier.
+  struct Model {
+    Dataset train;
+    DynamicKdTree tree;
+    explicit Model(Dataset train_in)
+        : train(std::move(train_in)), tree(&train.x()) {}
+    Model(const Model&) = delete;  // `tree` points into *this
+    Model& operator=(const Model&) = delete;
+  };
+
   int k_;
-  Dataset train_;
-  std::unique_ptr<KdTree> tree_;
+  std::unique_ptr<const Model> model_;
 };
 
 }  // namespace gbx

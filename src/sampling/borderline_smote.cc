@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "index/kd_tree.h"
+#include "index/dynamic_kd_tree.h"
 #include "sampling/smote.h"
 
 namespace gbx {
@@ -17,7 +17,7 @@ BorderlineSmoteSampler::BorderlineSmoteSampler(int m_neighbors,
 std::vector<int> BorderlineSmoteSampler::DangerSamples(
     const Dataset& train, const std::vector<int>& class_indices,
     int cls) const {
-  KdTree tree(&train.x());
+  DynamicKdTree tree(&train.x());
   std::vector<int> danger;
   const int m = std::min(m_neighbors_, train.size() - 1);
   for (int idx : class_indices) {

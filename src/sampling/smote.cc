@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "index/kd_tree.h"
+#include "index/dynamic_kd_tree.h"
 
 namespace gbx {
 
@@ -17,7 +17,7 @@ void AppendSyntheticSamples(const Dataset& train,
   const int p = train.num_features();
 
   Matrix pool = train.x().SelectRows(neighbor_pool);
-  KdTree tree(&pool);
+  DynamicKdTree tree(&pool);
 
   std::vector<double> synthetic(p);
   for (int s = 0; s < count; ++s) {

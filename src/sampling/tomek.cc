@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "index/kd_tree.h"
+#include "index/dynamic_kd_tree.h"
 
 namespace gbx {
 
@@ -14,7 +14,7 @@ std::vector<std::pair<int, int>> TomekLinksSampler::FindLinks(
   const int n = train.size();
   std::vector<std::pair<int, int>> links;
   if (n < 2) return links;
-  KdTree tree(&train.x());
+  DynamicKdTree tree(&train.x());
   // Nearest distinct neighbor of each sample.
   std::vector<int> nn(n, -1);
   for (int i = 0; i < n; ++i) {

@@ -22,7 +22,7 @@ TEST(GbxUmbrellaTest, OneTypePerSubsystem) {
 
   // index
   const Matrix points = Matrix::FromRows({{0.0, 0.0}, {1.0, 1.0}});
-  KdTree kd(&points);
+  DynamicKdTree kd(&points);
   BruteForceIndex brute(&points);
   EXPECT_EQ(kd.KNearest(points.Row(0), 1).size(),
             brute.KNearest(points.Row(0), 1).size());

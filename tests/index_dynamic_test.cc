@@ -238,8 +238,8 @@ TEST(DynamicKdTreeTest, RebuildBoundaryAtExactlyHalf) {
   EXPECT_TRUE(tree.RadiusSearch(q, 10.0).empty());
 }
 
-// k beyond the live count degrades to "all live points", in order — the
-// guard the static KdTree shares (see index_test.cc).
+// k beyond the live count degrades to "all live points", in order, also
+// after removals (index_test.cc covers the never-removed tree).
 TEST(DynamicKdTreeTest, OversizedKReturnsAllLivePoints) {
   const Matrix pts = RandomPoints(10, 2, 7);
   DynamicKdTree tree(&pts, /*leaf_size=*/4);

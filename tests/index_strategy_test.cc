@@ -1,93 +1,32 @@
 // The IndexStrategy resolution machinery: name/parse round-trips for
-// all four strategies, the EffectiveDimension participation-ratio
-// estimator (isotropic clouds read as ~d, embedded low-dimensional
-// subspaces read as ~their dimension regardless of ambient d or
-// orientation), and the kAuto tier semantics — size gates, thread
-// scaling, and the d_eff structure gate that separates "distance
-// concentration, stay flat" from "real structure, keep the tree".
+// every strategy, and the kAuto tier semantics — size and dimension
+// gates and thread scaling.
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "data/synthetic.h"
 #include "index/index_strategy.h"
 
 namespace gbx {
 namespace {
 
 TEST(IndexStrategyTest, NameParseRoundTrip) {
-  for (IndexStrategy s :
-       {IndexStrategy::kAuto, IndexStrategy::kFlat, IndexStrategy::kTree,
-        IndexStrategy::kBallTree}) {
+  for (IndexStrategy s : {IndexStrategy::kAuto, IndexStrategy::kFlat,
+                          IndexStrategy::kTree, IndexStrategy::kSampled}) {
     IndexStrategy parsed = IndexStrategy::kAuto;
     ASSERT_TRUE(ParseIndexStrategy(IndexStrategyName(s), &parsed))
         << IndexStrategyName(s);
     EXPECT_EQ(parsed, s);
   }
   IndexStrategy out = IndexStrategy::kTree;
-  EXPECT_FALSE(ParseIndexStrategy("ball-tree", &out));
+  EXPECT_FALSE(ParseIndexStrategy("balltree", &out));
   EXPECT_FALSE(ParseIndexStrategy("Tree", &out));
   EXPECT_FALSE(ParseIndexStrategy("", &out));
   EXPECT_EQ(out, IndexStrategy::kTree) << "failed parse must not write";
 }
 
-Matrix IsotropicCloud(int n, int d, std::uint64_t seed) {
-  Pcg32 rng(seed);
-  Matrix m(n, d);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) m.At(i, j) = rng.NextGaussian();
-  }
-  return m;
-}
-
-// Points near a k-dimensional subspace of R^d, then rotated so the
-// subspace is not axis-aligned — the participation ratio must still
-// read ~k.
-Matrix EmbeddedSubspace(int n, int d, int k, double noise,
-                        std::uint64_t seed) {
-  Pcg32 rng(seed);
-  Matrix m(n, d, 0.0);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < k; ++j) m.At(i, j) = rng.NextGaussian() * 2.0;
-    for (int j = k; j < d; ++j) m.At(i, j) = rng.NextGaussian() * noise;
-  }
-  RotateFeatures(&m, &rng);
-  return m;
-}
-
-TEST(EffectiveDimensionTest, IsotropicCloudReadsAmbientDimension) {
-  for (int d : {2, 8, 24}) {
-    const double d_eff = EffectiveDimension(IsotropicCloud(4000, d, 11 + d));
-    EXPECT_GT(d_eff, 0.8 * d) << "d=" << d;
-    EXPECT_LE(d_eff, 1.05 * d) << "d=" << d;
-  }
-}
-
-TEST(EffectiveDimensionTest, EmbeddedSubspaceReadsIntrinsicDimension) {
-  for (int d : {12, 24, 48}) {
-    const double d_eff =
-        EffectiveDimension(EmbeddedSubspace(4000, d, 3, 0.05, 17 + d));
-    EXPECT_GT(d_eff, 1.5) << "d=" << d;
-    EXPECT_LT(d_eff, 5.0) << "ambient d=" << d
-                          << " must not leak into the estimate";
-  }
-}
-
-TEST(EffectiveDimensionTest, DegenerateInputs) {
-  // Fewer than two rows, or zero variance: fall back to the ambient d.
-  EXPECT_EQ(EffectiveDimension(Matrix(0, 5)), 5.0);
-  EXPECT_EQ(EffectiveDimension(Matrix(1, 5)), 5.0);
-  EXPECT_EQ(EffectiveDimension(Matrix(100, 3, /*fill=*/2.5)), 3.0);
-  // A single spread dimension is effectively one-dimensional.
-  Matrix line(500, 4, 0.0);
-  for (int i = 0; i < 500; ++i) line.At(i, 2) = i;
-  EXPECT_NEAR(EffectiveDimension(line), 1.0, 1e-9);
-}
-
 TEST(ResolveRdGbgTest, ExplicitRequestsPassThrough) {
-  for (IndexStrategy s : {IndexStrategy::kFlat, IndexStrategy::kTree,
-                          IndexStrategy::kBallTree}) {
+  for (IndexStrategy s : {IndexStrategy::kFlat, IndexStrategy::kTree}) {
     EXPECT_EQ(ResolveRdGbgIndexStrategy(s, 1, 1000, 64), s);
   }
 }
@@ -103,89 +42,41 @@ TEST(ResolveRdGbgTest, UnconditionalKdTiersMatchPr4) {
             IndexStrategy::kTree);
   EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 16384, 4, 5),
             IndexStrategy::kFlat);
-}
-
-TEST(ResolveRdGbgTest, StructureGateEngagesOnlyOnLowEffectiveDimension) {
-  const Matrix structured = EmbeddedSubspace(20000, 8, 3, 0.05, 3);
-  const Matrix isotropic = IsotropicCloud(20000, 8, 4);
-  // Structured moderate-d data flips the tree on, out to d=16 ...
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 8, 1,
-                                      &structured),
-            IndexStrategy::kTree);
-  const Matrix structured16 = EmbeddedSubspace(20000, 16, 3, 0.05, 9);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 16, 1,
-                                      &structured16),
-            IndexStrategy::kTree);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 17, 1,
-                                      &structured16),
-            IndexStrategy::kFlat);
-  // ... isotropic data, a big pool, a small n, or no matrix keep it off.
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 8, 1,
-                                      &isotropic),
-            IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 8, 8,
-                                      &structured),
-            IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 8000, 8, 1,
-                                      &structured),
-            IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 8, 1),
+  // Past d=4 the flat scan wins at any size.
+  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 5, 1),
             IndexStrategy::kFlat);
 }
 
 TEST(ResolveSurfaceThresholdTest, PerStrategySemantics) {
-  // kFlat never switches, explicit tree strategies switch immediately —
-  // that is what routes the bit-identity suites through the index.
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kFlat, 10, 1),
+  // kFlat never switches, an explicit tree switches immediately — that
+  // is what routes the bit-identity suites through the index.
+  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kFlat, 1),
             kSurfaceIndexNever);
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kTree, 10, 8), 0);
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kBallTree, 10, 8), 0);
+  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kTree, 8), 0);
   // kAuto scales with the worker count (the flat scan parallelizes, an
   // index query is serial) and never disables entirely.
-  const int serial = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 10, 1);
-  const int pool = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 10, 8);
+  const int serial = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 1);
+  const int pool = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 8);
   EXPECT_GT(serial, 0);
   EXPECT_GE(pool, serial);
   EXPECT_LT(pool, kSurfaceIndexNever);
 }
 
-TEST(ResolveCenterTest, SizeGateIsThreadInvariant) {
-  // Tree from 4096 balls (d<=16) — and, unlike the RD-GBG resolver, at
-  // ANY worker count: batch prediction parallelizes over queries for
-  // every strategy, so the measured crossover does not move with
-  // GBX_THREADS (a ×threads bar was measured to hand kAuto a 2× loss
-  // at 4 workers; see index_strategy.cc).
-  for (int threads : {1, 4, 8}) {
-    EXPECT_EQ(
-        ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4096, 10, threads),
-        IndexStrategy::kTree)
-        << "threads=" << threads;
-    EXPECT_EQ(
-        ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4095, 10, threads),
-        IndexStrategy::kFlat)
-        << "threads=" << threads;
-  }
-}
-
-TEST(ResolveCenterTest, BallTreeTierNeedsStructure) {
-  const Matrix structured = EmbeddedSubspace(8000, 24, 3, 0.05, 5);
-  const Matrix isotropic = IsotropicCloud(8000, 24, 6);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, 1,
-                                       &structured),
-            IndexStrategy::kBallTree);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, 1,
-                                       &isotropic),
+TEST(ResolveCenterTest, SizeAndDimsGate) {
+  // Tree from 4096 balls up to d=16, flat otherwise.
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4096, 10),
+            IndexStrategy::kTree);
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4095, 10),
             IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, 1),
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 16),
+            IndexStrategy::kTree);
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 17),
             IndexStrategy::kFlat);
-  // Past d=32 even structure does not rescue tree pruning.
-  const Matrix deep = EmbeddedSubspace(8000, 40, 3, 0.05, 7);
-  EXPECT_EQ(
-      ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 40, 1, &deep),
-      IndexStrategy::kFlat);
   // Explicit requests pass through untouched.
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kBallTree, 1, 1000, 64),
-            IndexStrategy::kBallTree);
+  for (IndexStrategy s : {IndexStrategy::kFlat, IndexStrategy::kTree,
+                          IndexStrategy::kSampled}) {
+    EXPECT_EQ(ResolveCenterIndexStrategy(s, 1, 1000), s);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include "common/rng.h"
 #include "index/brute_force.h"
-#include "index/kd_tree.h"
+#include "index/dynamic_kd_tree.h"
 
 namespace gbx {
 namespace {
@@ -50,7 +50,7 @@ TEST(BruteForceTest, RadiusSearchInclusive) {
 TEST(KdTreeTest, HandlesDuplicatePoints) {
   const Matrix pts =
       Matrix::FromRows({{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}});
-  KdTree tree(&pts, /*leaf_size=*/1);
+  DynamicKdTree tree(&pts, /*leaf_size=*/1);
   const double q[] = {1.0, 1.0};
   const std::vector<Neighbor> nns = tree.KNearest(q, 3);
   ASSERT_EQ(nns.size(), 3u);
@@ -61,20 +61,21 @@ TEST(KdTreeTest, HandlesDuplicatePoints) {
 
 TEST(KdTreeTest, EmptyAndSinglePoint) {
   const Matrix empty(0, 3);
-  KdTree tree(&empty);
+  DynamicKdTree tree(&empty);
   const double q[] = {0.0, 0.0, 0.0};
   EXPECT_TRUE(tree.KNearest(q, 5).empty());
   EXPECT_TRUE(tree.RadiusSearch(q, 1.0).empty());
 
   const Matrix one = Matrix::FromRows({{1.0, 2.0, 3.0}});
-  KdTree tree1(&one);
+  DynamicKdTree tree1(&one);
   const std::vector<Neighbor> nns = tree1.KNearest(q, 5);
   ASSERT_EQ(nns.size(), 1u);
   EXPECT_EQ(nns[0].index, 0);
 }
 
 // Property: KD-tree results must equal brute force exactly (indices and
-// distances) across sizes, dimensionalities and leaf sizes.
+// distances, bit for bit) across sizes, dimensionalities and leaf sizes.
+// kNN, SMOTE, Borderline-SMOTE and Tomek rely on this equality.
 class KdTreeEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -82,7 +83,7 @@ TEST_P(KdTreeEquivalenceTest, MatchesBruteForceKnn) {
   const auto [n, d, leaf_size] = GetParam();
   const Matrix pts = RandomPoints(n, d, 100 + n + d);
   BruteForceIndex brute(&pts);
-  KdTree tree(&pts, leaf_size);
+  DynamicKdTree tree(&pts, leaf_size);
   Pcg32 rng(n * 31 + d);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> q(d);
@@ -93,7 +94,7 @@ TEST_P(KdTreeEquivalenceTest, MatchesBruteForceKnn) {
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(actual[i].index, expected[i].index) << "trial " << trial;
-      EXPECT_NEAR(actual[i].distance, expected[i].distance, 1e-9);
+      EXPECT_EQ(actual[i].distance, expected[i].distance);
     }
   }
 }
@@ -102,7 +103,7 @@ TEST_P(KdTreeEquivalenceTest, MatchesBruteForceRadius) {
   const auto [n, d, leaf_size] = GetParam();
   const Matrix pts = RandomPoints(n, d, 200 + n + d);
   BruteForceIndex brute(&pts);
-  KdTree tree(&pts, leaf_size);
+  DynamicKdTree tree(&pts, leaf_size);
   Pcg32 rng(n * 37 + d);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<double> q(d);
@@ -113,6 +114,7 @@ TEST_P(KdTreeEquivalenceTest, MatchesBruteForceRadius) {
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(actual[i].index, expected[i].index);
+      EXPECT_EQ(actual[i].distance, expected[i].distance);
     }
   }
 }
@@ -134,14 +136,14 @@ TEST(KdTreeEquivalenceTest, MatchesBruteForceOnDataPointQueries) {
     pts.AppendRow(row.data(), pts.cols());
   }
   BruteForceIndex brute(&pts);
-  KdTree tree(&pts, /*leaf_size=*/8);
+  DynamicKdTree tree(&pts, /*leaf_size=*/8);
   for (int i = 0; i < pts.rows(); i += 7) {
     const std::vector<Neighbor> expected = brute.KNearest(pts.Row(i), 12);
     const std::vector<Neighbor> actual = tree.KNearest(pts.Row(i), 12);
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t j = 0; j < expected.size(); ++j) {
       ASSERT_EQ(actual[j].index, expected[j].index) << "query " << i;
-      ASSERT_NEAR(actual[j].distance, expected[j].distance, 1e-12);
+      ASSERT_EQ(actual[j].distance, expected[j].distance);
     }
     const std::vector<Neighbor> rad_expected =
         brute.RadiusSearch(pts.Row(i), 0.75);
@@ -154,14 +156,13 @@ TEST(KdTreeEquivalenceTest, MatchesBruteForceOnDataPointQueries) {
   }
 }
 
-// Regression for the oversized-k guard (shared with DynamicKdTree): k
-// beyond the stored point count must degrade to "all points, in order" —
-// never an assertion — including on deep single-point-leaf trees and on
-// the empty tree.
+// Regression for the oversized-k guard: k beyond the stored point count
+// must degrade to "all points, in order" — never an assertion —
+// including on deep single-point-leaf trees and on the empty tree.
 TEST(KdTreeTest, OversizedKReturnsAllPoints) {
   const Matrix pts = RandomPoints(37, 3, 23);
   BruteForceIndex brute(&pts);
-  KdTree tree(&pts, /*leaf_size=*/1);
+  DynamicKdTree tree(&pts, /*leaf_size=*/1);
   const double q[] = {0.1, -0.4, 0.7};
   const std::vector<Neighbor> expected = brute.KNearest(q, 37);
   for (int k : {37, 38, 100, 1 << 20}) {
@@ -173,13 +174,13 @@ TEST(KdTreeTest, OversizedKReturnsAllPoints) {
   }
 
   const Matrix empty(0, 3);
-  KdTree none(&empty);
+  DynamicKdTree none(&empty);
   EXPECT_TRUE(none.KNearest(q, 1 << 20).empty());
 }
 
 TEST(KdTreeTest, SelfQueryReturnsSelfFirst) {
   const Matrix pts = RandomPoints(64, 4, 11);
-  KdTree tree(&pts);
+  DynamicKdTree tree(&pts);
   for (int i = 0; i < pts.rows(); ++i) {
     const std::vector<Neighbor> nns = tree.KNearest(pts.Row(i), 1);
     ASSERT_EQ(nns.size(), 1u);

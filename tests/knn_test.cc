@@ -75,6 +75,25 @@ TEST(KnnTest, KLargerThanTrainingSet) {
   EXPECT_EQ(knn.Predict(q), 0);  // majority of all three
 }
 
+// The KD-tree points into the stored training set; a moved-to
+// classifier must predict from its own copy, not the moved-from one.
+TEST(KnnTest, PredictsAfterMove) {
+  BlobsConfig cfg;
+  cfg.num_samples = 200;
+  cfg.num_classes = 3;
+  Pcg32 gen(9);
+  const Dataset ds = MakeGaussianBlobs(cfg, &gen);
+  KnnClassifier a(3);
+  Pcg32 rng(10);
+  a.Fit(ds, &rng);
+  const std::vector<int> expected = a.PredictBatch(ds.x());
+  KnnClassifier b = std::move(a);
+  EXPECT_EQ(b.PredictBatch(ds.x()), expected);
+  KnnClassifier c(1);
+  c = std::move(b);
+  EXPECT_EQ(c.PredictBatch(ds.x()), expected);
+}
+
 TEST(KnnTest, DefaultKIsFive) { EXPECT_EQ(KnnClassifier().k(), 5); }
 
 }  // namespace

@@ -200,21 +200,10 @@ TEST_P(RoundTripFuzzTest, GbKnnArtifactIsIndexStrategyAgnostic) {
   const std::vector<int> expected = tree_model.PredictBatch(ds.x());
   EXPECT_EQ(restored->PredictBatch(ds.x()), expected);
 
-  // ... and with each tree backend; predictions stay bit-identical.
+  // ... and with the tree; predictions stay bit-identical.
   restored->set_index_strategy(IndexStrategy::kTree);
   ASSERT_EQ(restored->resolved_index_strategy(), IndexStrategy::kTree);
   EXPECT_EQ(restored->PredictBatch(ds.x()), expected);
-  restored->set_index_strategy(IndexStrategy::kBallTree);
-  ASSERT_EQ(restored->resolved_index_strategy(), IndexStrategy::kBallTree);
-  EXPECT_EQ(restored->PredictBatch(ds.x()), expected);
-
-  // A ball-tree-strategy fit writes the same bytes too.
-  gbg.index_strategy = IndexStrategy::kBallTree;
-  GbKnnClassifier ball_model(gbg, 1 + GetParam() % 4);
-  Pcg32 fit_rng_ball(2);
-  ball_model.Fit(ds, &fit_rng_ball);
-  ASSERT_EQ(ball_model.resolved_index_strategy(), IndexStrategy::kBallTree);
-  EXPECT_EQ(ModelToString(ball_model), text);
 
   // The sampled tier as well: training under kSampled granulates
   // exactly (the tier only shapes inference), so the artifact bytes

@@ -115,11 +115,10 @@ TEST_P(RdGbgThreadDeterminismTest, OutputIdenticalAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(SyntheticDatasets, RdGbgThreadDeterminismTest,
                          ::testing::Range(0, 4));
 
-// The index-strategy axis: every tree-backed neighbor pass — the
-// DynamicKdTree, and the metric BallTree — must reproduce the flat
-// scan's granulation exactly — same balls (centers, radii, members),
-// noise, orphans, iterations — at every thread count. Both tree
-// strategies also force the r_conf pass through the incremental
+// The index-strategy axis: the DynamicKdTree neighbor pass must
+// reproduce the flat scan's granulation exactly — same balls (centers,
+// radii, members), noise, orphans, iterations — at every thread count.
+// The tree strategy also forces the r_conf pass through the incremental
 // BallSurfaceIndex from the first ball (ResolveRdGbgSurfaceThreshold),
 // so this suite is simultaneously the end-to-end bit-identity check for
 // the surface index against the flat parallel gap scan the kFlat
@@ -136,23 +135,19 @@ TEST_P(RdGbgStrategyEquivalenceTest, TreeStrategiesMatchFlatBitForBit) {
   cfg.num_threads = 1;
   cfg.index_strategy = IndexStrategy::kFlat;
   const RdGbgResult reference = GenerateRdGbg(ds, cfg);
-  for (IndexStrategy strategy :
-       {IndexStrategy::kTree, IndexStrategy::kBallTree}) {
-    cfg.index_strategy = strategy;
-    for (int threads : ThreadCountsUnderTest()) {
-      cfg.num_threads = threads;
-      const RdGbgResult run = GenerateRdGbg(ds, cfg);
-      ExpectIdenticalGranulation(reference, run, threads);
-    }
+  cfg.index_strategy = IndexStrategy::kTree;
+  for (int threads : ThreadCountsUnderTest()) {
+    cfg.num_threads = threads;
+    const RdGbgResult run = GenerateRdGbg(ds, cfg);
+    ExpectIdenticalGranulation(reference, run, threads);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(SyntheticDatasets, RdGbgStrategyEquivalenceTest,
                          ::testing::Range(0, 4));
 
-// GB-kNN's ball-center scan has the same contract: both center tree
-// backends and the flat scan must vote out identical labels for every
-// query.
+// GB-kNN's ball-center scan has the same contract: the center tree and
+// the flat scan must vote out identical labels for every query.
 TEST(GbKnnStrategyEquivalenceTest, CenterTreePredictionsMatchFlat) {
   const Dataset train = OverlappingBlobs(900);
   const Dataset test = OverlappingBlobs(400);
@@ -166,21 +161,18 @@ TEST(GbKnnStrategyEquivalenceTest, CenterTreePredictionsMatchFlat) {
     ASSERT_EQ(flat.resolved_index_strategy(), IndexStrategy::kFlat);
     const std::vector<int> expected = flat.PredictBatch(test.x());
 
-    for (IndexStrategy strategy :
-         {IndexStrategy::kTree, IndexStrategy::kBallTree}) {
-      gbg.index_strategy = strategy;
-      GbKnnClassifier tree(gbg, k);
-      Pcg32 rng_tree(8);
-      tree.Fit(train, &rng_tree);
-      ASSERT_EQ(tree.resolved_index_strategy(), strategy);
+    gbg.index_strategy = IndexStrategy::kTree;
+    GbKnnClassifier tree(gbg, k);
+    Pcg32 rng_tree(8);
+    tree.Fit(train, &rng_tree);
+    ASSERT_EQ(tree.resolved_index_strategy(), IndexStrategy::kTree);
 
-      ASSERT_EQ(tree.PredictBatch(test.x()), expected) << "k=" << k;
+    ASSERT_EQ(tree.PredictBatch(test.x()), expected) << "k=" << k;
 
-      // Flipping the knob on a fitted model re-resolves in place.
-      tree.set_index_strategy(IndexStrategy::kFlat);
-      ASSERT_EQ(tree.resolved_index_strategy(), IndexStrategy::kFlat);
-      ASSERT_EQ(tree.PredictBatch(test.x()), expected);
-    }
+    // Flipping the knob on a fitted model re-resolves in place.
+    tree.set_index_strategy(IndexStrategy::kFlat);
+    ASSERT_EQ(tree.resolved_index_strategy(), IndexStrategy::kFlat);
+    ASSERT_EQ(tree.PredictBatch(test.x()), expected);
   }
 }
 
