@@ -1,6 +1,36 @@
 #include "common/matrix.h"
 
+#include <sys/mman.h>
+
+#include <new>
+
 namespace gbx {
+
+namespace internal {
+
+namespace {
+// glibc's initial mmap threshold, the floor of its dynamic one: no block
+// this large or larger reaches malloc, so none can raise the threshold.
+constexpr std::size_t kDirectMapBytes = std::size_t{1} << 17;
+}  // namespace
+
+void* AllocateSoaStorage(std::size_t bytes) {
+  if (bytes < kDirectMapBytes) return ::operator new(bytes);
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void FreeSoaStorage(void* p, std::size_t bytes) {
+  if (bytes < kDirectMapBytes) {
+    ::operator delete(p);
+  } else {
+    ::munmap(p, bytes);
+  }
+}
+
+}  // namespace internal
 
 Matrix Matrix::FromRows(
     std::initializer_list<std::initializer_list<double>> rows) {
@@ -56,14 +86,17 @@ void SoaMatrix::AppendRow(const double* row) {
   ++rows_;
 }
 
-void SoaMatrix::GatherRows(const Matrix& m, const int* indices, int count) {
-  Clear();
-  cols_ = m.cols();
-  Reserve(count);
-  for (int i = 0; i < count; ++i) {
-    GBX_DCHECK(indices[i] >= 0 && indices[i] < m.rows());
-    AppendRow(m.Row(indices[i]));
+void SoaMatrix::SwapRemoveRow(int r) {
+  GBX_DCHECK(r >= 0 && r < rows_);
+  const int last = rows_ - 1;
+  for (int c = 0; c < cols_; ++c) {
+    data_[BlockOffset(r, c)] = data_[BlockOffset(last, c)];
+    data_[BlockOffset(last, c)] = 0.0;
   }
+  rows_ = last;
+  // Drop the trailing block once it is empty, so the next AppendRow
+  // opens a fresh one exactly where the layout expects it.
+  data_.resize(BlocksFor(rows_) * static_cast<std::size_t>(cols_) * kSoaBlock);
 }
 
 SoaMatrix SoaMatrix::FromMatrix(const Matrix& m) {

@@ -69,6 +69,33 @@ class Matrix {
   std::vector<double> data_;
 };
 
+namespace internal {
+/// SoaMatrix storage. Blocks of 128 KiB and up are mapped from and
+/// unmapped back to the OS directly instead of going through malloc:
+/// glibc maps such blocks too, but freeing one raises its dynamic mmap
+/// threshold, after which blocks up to that size come from the heap and
+/// stay resident once freed. RD-GBG maps an n×p mirror of U per call,
+/// and GB-kNN its ball centers. Smaller blocks use operator new.
+void* AllocateSoaStorage(std::size_t bytes);
+void FreeSoaStorage(void* p, std::size_t bytes);
+
+template <class T>
+struct SoaAllocator {
+  using value_type = T;
+  SoaAllocator() = default;
+  template <class U>
+  SoaAllocator(const SoaAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(AllocateSoaStorage(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) { FreeSoaStorage(p, n * sizeof(T)); }
+  template <class U>
+  bool operator==(const SoaAllocator<U>&) const {
+    return true;
+  }
+};
+}  // namespace internal
+
 /// Lane width of the SoA blocked layout below. Fixed at 8 on every
 /// architecture — the layout is part of the numeric contract (a model
 /// packed on an AVX-512 host must stream identically through the NEON
@@ -95,13 +122,6 @@ class SoaMatrix {
   int cols() const { return cols_; }
   bool empty() const { return rows_ == 0; }
 
-  /// Drops all rows but keeps the allocation (tile-buffer reuse in hot
-  /// loops) and the column count.
-  void Clear() {
-    rows_ = 0;
-    data_.clear();
-  }
-
   void Reserve(int rows) {
     GBX_CHECK_GE(rows, 0);
     data_.reserve(BlocksFor(rows) * static_cast<std::size_t>(cols_) *
@@ -111,10 +131,10 @@ class SoaMatrix {
   /// Appends one row given as cols() contiguous doubles.
   void AppendRow(const double* row);
 
-  /// Clear() + append rows `indices[0..count)` of `m` in order — the
-  /// gather-pack used to tile scattered candidate rows into a reusable
-  /// SoA scratch buffer. Adopts m's column count.
-  void GatherRows(const Matrix& m, const int* indices, int count);
+  /// Moves the last row into row `r` and drops the last row: O(cols)
+  /// removal that keeps the rows compact (row order is not preserved).
+  /// The vacated lane is zeroed, so the padding invariant holds.
+  void SwapRemoveRow(int r);
 
   static SoaMatrix FromMatrix(const Matrix& m);
 
@@ -137,7 +157,7 @@ class SoaMatrix {
 
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, internal::SoaAllocator<double>> data_;
 };
 
 /// Squared Euclidean distance between two length-d vectors. Defined

@@ -1,7 +1,7 @@
 #include "core/gbabs.h"
 
 #include <algorithm>
-#include <set>
+#include <utility>
 #include <vector>
 
 namespace gbx {
@@ -66,42 +66,44 @@ std::vector<int> SampleBorderlineIndices(
     int max_scan_dimensions) {
   const int m = balls.size();
   const Matrix& x = balls.scaled_features();
-  std::set<int> sampled;
-  std::set<int> borderline;
+  std::vector<char> sampled(x.rows(), 0);
+  std::vector<char> borderline(m, 0);
 
-  std::vector<int> order(m);
-  for (int i = 0; i < m; ++i) order[i] = i;
-
+  // (center[dim], ball id) keys: the pair order is value, then id, so the
+  // sort reads no ball while comparing and is deterministic on ties.
+  // -0.0 and 0.0 compare equal and fall through to the id.
+  std::vector<std::pair<double, int>> keys(m);
   const std::vector<int> dims =
       BorderlineScanDimensions(balls, max_scan_dimensions);
   for (int dim : dims) {
-    // Step 1: sort centers along this dimension (ties by ball id so the
-    // scan is deterministic).
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const double va = balls.ball(a).center[dim];
-      const double vb = balls.ball(b).center[dim];
-      if (va != vb) return va < vb;
-      return a < b;
-    });
+    // Step 1: sort centers along this dimension.
+    for (int i = 0; i < m; ++i) keys[i] = {balls.ball(i).center[dim], i};
+    std::sort(keys.begin(), keys.end());
     // Step 2: adjacent heterogeneous centers flag both balls as borderline
     // and contribute the two members facing the boundary.
     for (int i = 0; i + 1 < m; ++i) {
-      const int left = order[i];
-      const int right = order[i + 1];
+      const int left = keys[i].second;
+      const int right = keys[i + 1].second;
       if (balls.ball(left).label == balls.ball(right).label) continue;
-      borderline.insert(left);
-      borderline.insert(right);
-      sampled.insert(ExtremeMember(balls.ball(left), x, dim,
-                                   /*want_max=*/true));
-      sampled.insert(ExtremeMember(balls.ball(right), x, dim,
-                                   /*want_max=*/false));
+      borderline[left] = 1;
+      borderline[right] = 1;
+      sampled[ExtremeMember(balls.ball(left), x, dim, /*want_max=*/true)] = 1;
+      sampled[ExtremeMember(balls.ball(right), x, dim, /*want_max=*/false)] =
+          1;
     }
   }
 
   if (borderline_ball_ids != nullptr) {
-    borderline_ball_ids->assign(borderline.begin(), borderline.end());
+    borderline_ball_ids->clear();
+    for (int b = 0; b < m; ++b) {
+      if (borderline[b]) borderline_ball_ids->push_back(b);
+    }
   }
-  return std::vector<int>(sampled.begin(), sampled.end());
+  std::vector<int> out;
+  for (int i = 0; i < x.rows(); ++i) {
+    if (sampled[i]) out.push_back(i);
+  }
+  return out;
 }
 
 GbabsResult RunGbabs(const Dataset& dataset, const GbabsConfig& config) {

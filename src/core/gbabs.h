@@ -6,9 +6,12 @@
 // heterogeneous, both balls are borderline; the facing extreme members of
 // the pair (largest coordinate from the left ball, smallest from the right
 // ball) are the approximate borderline samples. The union over all
-// dimensions — deduplicated — is the sampled dataset. Complexity is
-// O(p·m·log m) over m balls, keeping the whole pipeline linear in the
-// dataset size.
+// dimensions — deduplicated — is the sampled dataset. Each dimension
+// sorts (center coordinate, ball id) keys, so the order is by value,
+// then by id, and marks its picks in flag vectors; complexity is
+// O(p·(m·log m + n)) over m balls and n samples (each ball's members are
+// scanned for at most two facing pairs per dimension), keeping the
+// sampling stage near-linear in the dataset size.
 #ifndef GBX_CORE_GBABS_H_
 #define GBX_CORE_GBABS_H_
 

@@ -1,10 +1,12 @@
 #include "core/rd_gbg.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
@@ -18,12 +20,6 @@ namespace gbx {
 
 namespace {
 
-// Tile size of the flat candidate fill's gather-pack: scattered U-rows
-// are packed into a thread-local SoA scratch this many at a time, so
-// the batched distance kernel streams L1-resident blocks. 256 rows ×
-// typical dims keeps the scratch well under 32 KiB.
-constexpr int kCandidateTile = 256;
-
 // Lifecycle of a sample during granulation.
 enum class SampleState : std::uint8_t {
   kUndivided,   // in U, potential center (in T)
@@ -32,9 +28,78 @@ enum class SampleState : std::uint8_t {
   kCovered,     // member of a generated ball
 };
 
-bool InU(SampleState s) {
-  return s == SampleState::kUndivided || s == SampleState::kLowDensity;
-}
+// T = U - L grouped by class, kept incrementally. Each class lists its
+// samples in ascending index order, and a Fenwick tree over those
+// class-local positions counts the ones still kUndivided. The live
+// member of rank k is then exactly element k of the group that a
+// per-round ascending scan over all n samples would build, so the same
+// RNG draw selects the same candidate without the O(n) pass per round.
+class UndividedByClass {
+ public:
+  UndividedByClass(const std::vector<int>& labels, int num_classes)
+      : labels_(labels),
+        begin_(num_classes + 1, 0),
+        live_(num_classes, 0),
+        members_(labels.size()),
+        position_(labels.size()),
+        tree_(labels.size(), 0) {
+    for (int label : labels) ++live_[label];
+    for (int c = 0; c < num_classes; ++c) begin_[c + 1] = begin_[c] + live_[c];
+    std::vector<int> next(begin_.begin(), begin_.end() - 1);
+    for (int i = 0; i < static_cast<int>(labels.size()); ++i) {
+      const int c = labels[i];
+      position_[i] = next[c] - begin_[c];
+      members_[next[c]++] = i;
+    }
+    // Linear-time build over all-live positions (1-based within a class).
+    for (int c = 0; c < num_classes; ++c) {
+      int* t = tree_.data() + begin_[c];
+      const int size = live_[c];
+      for (int i = 1; i <= size; ++i) {
+        t[i - 1] += 1;
+        const int parent = i + (i & -i);
+        if (parent <= size) t[parent - 1] += t[i - 1];
+      }
+    }
+  }
+
+  /// |T_c|: the class's samples still kUndivided.
+  int size(int cls) const { return live_[cls]; }
+
+  /// The live sample of rank k (0-based, by ascending index) in class cls.
+  int KthLive(int cls, int k) const {
+    GBX_DCHECK(k >= 0 && k < live_[cls]);
+    const int* t = tree_.data() + begin_[cls];
+    const int size = begin_[cls + 1] - begin_[cls];
+    int pos = 0;  // positions [0, pos) hold exactly the k live ones skipped
+    for (int step = static_cast<int>(std::bit_floor(
+             static_cast<unsigned>(size)));
+         step > 0; step >>= 1) {
+      if (pos + step <= size && t[pos + step - 1] <= k) {
+        pos += step;
+        k -= t[pos - 1];
+      }
+    }
+    return members_[begin_[cls] + pos];
+  }
+
+  /// Sample i leaves T; it must still be in it.
+  void Remove(int i) {
+    const int cls = labels_[i];
+    int* t = tree_.data() + begin_[cls];
+    const int size = begin_[cls + 1] - begin_[cls];
+    for (int j = position_[i] + 1; j <= size; j += j & -j) --t[j - 1];
+    --live_[cls];
+  }
+
+ private:
+  const std::vector<int>& labels_;
+  std::vector<int> begin_;     // class c owns slots [begin_[c], begin_[c+1])
+  std::vector<int> live_;      // |T_c|
+  std::vector<int> members_;   // samples grouped by class, ascending
+  std::vector<int> position_;  // sample -> class-local position
+  std::vector<int> tree_;      // per-class Fenwick trees over live flags
+};
 
 // Squared distance to a neighbor candidate. The (dist2, index) pair is a
 // strict total order, so any selection schedule — the lazily sorted flat
@@ -167,8 +232,6 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   RdGbgResult result;
   Pcg32 rng(config.seed);
 
-  std::vector<int> active;  // samples still in U, rebuilt per candidate
-  active.reserve(n);
   std::vector<DistEntry> entries;
   std::vector<double> chunk_mins;  // per-chunk r_conf gap minima
   // SoA mirror of `balls` streamed by the fused r_conf gap kernel
@@ -198,31 +261,55 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   const std::size_t initial_block =
       std::max<std::size_t>(static_cast<std::size_t>(rho), 32);
 
+  // Flat strategy: a compacted SoA mirror of U that the batched kernel
+  // streams directly. Slot s holds sample u_sample[s], and u_slot maps
+  // back. A candidate's departures swap-remove their rows once it is
+  // done (the flat twin of the tree's deferred tombstones), so the
+  // mirror is exactly U whenever a candidate starts.
+  SoaMatrix u_mirror;
+  std::vector<int> u_sample;
+  std::vector<int> u_slot;
+  std::vector<double> dist2;
+  // Fill chunks start on block boundaries, so only a range's last block
+  // can take the kernel's per-row path.
+  const int fill_grain = (grain + kSoaBlock - 1) / kSoaBlock * kSoaBlock;
+  if (utree == nullptr) {
+    u_mirror = SoaMatrix::FromMatrix(x);
+    u_sample.resize(n);
+    std::iota(u_sample.begin(), u_sample.end(), 0);
+    u_slot = u_sample;
+  }
+
+  // T = U - L by class, and the one place a sample's state changes, so
+  // every departure from kUndivided reaches T exactly once.
+  UndividedByClass undivided(labels, q);
+  auto set_state = [&](int i, SampleState s) {
+    if (state[i] == SampleState::kUndivided) undivided.Remove(i);
+    state[i] = s;
+  };
+
+  std::vector<int> group_order;
+  std::vector<int> candidates;
   for (;;) {
-    // --- Step 1 per round: build T = U - L grouped by class. ---
-    std::vector<std::vector<int>> groups(q);
-    for (int i = 0; i < n; ++i) {
-      if (state[i] == SampleState::kUndivided) groups[labels[i]].push_back(i);
-    }
-    std::vector<int> group_order;
+    // --- Step 1 per round: T = U - L grouped by class. ---
+    group_order.clear();
     for (int c = 0; c < q; ++c) {
-      if (!groups[c].empty()) group_order.push_back(c);
+      if (undivided.size(c) > 0) group_order.push_back(c);
     }
     if (group_order.empty()) break;  // U ⊆ L: terminate global iteration
     // Larger groups first (|T1| >= |T2| >= ...), class id as tie-break.
     std::stable_sort(group_order.begin(), group_order.end(),
                      [&](int a, int b) {
-                       return groups[a].size() > groups[b].size();
+                       return undivided.size(a) > undivided.size(b);
                      });
     ++result.iterations;
 
-    // One random candidate per class.
-    std::vector<int> candidates;
-    candidates.reserve(group_order.size());
+    // One random candidate per class, all drawn from the round-start T.
+    candidates.clear();
     for (int cls : group_order) {
-      const auto& members = groups[cls];
-      candidates.push_back(
-          members[rng.NextBounded(static_cast<std::uint32_t>(members.size()))]);
+      const auto k = rng.NextBounded(
+          static_cast<std::uint32_t>(undivided.size(cls)));
+      candidates.push_back(undivided.KthLive(cls, static_cast<int>(k)));
     }
 
     for (int c : candidates) {
@@ -255,7 +342,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           }
           if (h == rho_eff) {
             // Surrounded by heterogeneous samples: c is class noise.
-            state[c] = SampleState::kNoise;
+            set_state(c, SampleState::kNoise);
             removed_now.push_back(c);
             result.noise_indices.push_back(c);
             return;
@@ -263,13 +350,13 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           if (h == 1) {
             // The lone heterogeneous nearest neighbor is the noise.
             const int nn = neighbors[0].index;
-            state[nn] = SampleState::kNoise;
+            set_state(nn, SampleState::kNoise);
             removed_now.push_back(nn);
             result.noise_indices.push_back(nn);
             scan_begin = 1;
           } else {
             // 1 < h < rho: c cannot be cleanly separated — low density.
-            state[c] = SampleState::kLowDensity;
+            set_state(c, SampleState::kLowDensity);
             return;
           }
         }
@@ -277,11 +364,20 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         // --- Radius determination (§IV-B2). ---
         // Locally consistent radius CR(c): farthest of the leading
         // homogeneous neighbors (Eq.3). If no heterogeneous sample
-        // remains in U, the whole neighbor list is consistent.
+        // remains in U, the whole neighbor list is consistent. CR stays
+        // strictly below the first heterogeneous dist2: a homogeneous
+        // neighbor tied with it cannot be inside the ball without it, so
+        // a tie falls back to the previous distinct dist2 (or 0).
         double cr2 = 0.0;
+        double below = 0.0;  // the largest dist2 seen that is < cr2
         for (std::size_t i = scan_begin; i < neighbors.size(); ++i) {
-          if (labels[neighbors[i].index] != label) break;
-          cr2 = neighbors[i].dist2;
+          const DistEntry& e = neighbors[i];
+          if (labels[e.index] != label) {
+            if (e.dist2 == cr2) cr2 = below;
+            break;
+          }
+          if (e.dist2 != cr2) below = cr2;
+          cr2 = e.dist2;
         }
 
         // Conflict radius r_conf(c): gap to the nearest existing ball
@@ -349,7 +445,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
         if (r2 <= 0.0) {
           // Center sits on the edge of U; leave it for later absorption.
-          state[c] = SampleState::kLowDensity;
+          set_state(c, SampleState::kLowDensity);
           return;
         }
 
@@ -360,14 +456,14 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         ball.radius = std::sqrt(r2);
         ball.label = label;
         ball.members.push_back(c);
-        state[c] = SampleState::kCovered;
+        set_state(c, SampleState::kCovered);
         removed_now.push_back(c);
         for (std::size_t i = scan_begin; i < neighbors.size(); ++i) {
           if (neighbors[i].dist2 > r2) break;
           const int idx = neighbors[i].index;
           GBX_DCHECK(labels[idx] == label);
           ball.members.push_back(idx);
-          state[idx] = SampleState::kCovered;
+          set_state(idx, SampleState::kCovered);
           removed_now.push_back(idx);
         }
         GBX_CHECK_GE(ball.size(), 2);
@@ -396,7 +492,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
       // candidate's deferred U-departures as tombstones.
       if (utree != nullptr) {
         if (utree->size() <= 1) {
-          state[c] = SampleState::kLowDensity;  // last sample standing
+          set_state(c, SampleState::kLowDensity);  // last sample standing
           continue;
         }
         TreeNeighborStream neighbors(utree.get(), cx, /*exclude=*/c,
@@ -406,53 +502,54 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         continue;
       }
 
-      // Flat strategy: squared distances from c to every other sample
-      // still in U. The scan parallelizes over disjoint slots of
-      // `entries`, so its content does not depend on the thread count;
-      // sqrt is deferred until a radius is actually assigned.
-      active.clear();
-      for (int i = 0; i < n; ++i) {
-        if (i != c && InU(state[i])) active.push_back(i);
-      }
-      const int m = static_cast<int>(active.size());
-      if (m == 0) {
-        state[c] = SampleState::kLowDensity;  // last sample standing
+      // Flat strategy: squared distances from c to every row of the U
+      // mirror, c's own row included and then dropped. The scan
+      // parallelizes over disjoint slots, so its content does not depend
+      // on the thread count; the slot order differs from index order,
+      // but LazySortedPrefix selects by the strict (dist2, index) order,
+      // so the sorted prefix is the same. sqrt is deferred until a
+      // radius is actually assigned.
+      const int rows = u_mirror.rows();
+      if (rows <= 1) {
+        set_state(c, SampleState::kLowDensity);  // last sample standing
         continue;
       }
-      entries.resize(m);
+      dist2.resize(rows);
+      entries.resize(rows);
       {
-        const int* act = active.data();
+        double* d2 = dist2.data();
+        const int* sample = u_sample.data();
         DistEntry* out = entries.data();
         ParallelForRange(
-            m, grain, ParallelThreads(m, p, threads),
+            rows, fill_grain, ParallelThreads(rows - 1, p, threads),
             [&](int begin, int end) {
-              // Gather-pack each tile of scattered U-rows into a
-              // thread-local SoA scratch, then one batched kernel call
-              // fills the tile — per-row arithmetic identical to
-              // SquaredDistance (simd.h contract). thread_local: pool
-              // workers are long-lived, so the scratch amortizes across
-              // candidates.
-              thread_local SoaMatrix tile;
-              thread_local std::vector<double> d2;
-              for (int t = begin; t < end; t += kCandidateTile) {
-                const int cnt = std::min(end - t, kCandidateTile);
-                tile.GatherRows(x, act + t, cnt);
-                d2.resize(cnt);
-                simd::SquaredDistanceBatch(cx, tile, 0, cnt, d2.data());
-                for (int j = 0; j < cnt; ++j) {
-                  out[t + j] = DistEntry{d2[j], act[t + j]};
-                }
+              // Per row the exact arithmetic of SquaredDistance (simd.h
+              // contract), on every dispatch level.
+              simd::SquaredDistanceBatch(cx, u_mirror, begin, end, d2);
+              for (int s = begin; s < end; ++s) {
+                out[s] = DistEntry{d2[s], sample[s]};
               }
             });
       }
+      entries[u_slot[c]] = entries.back();
+      entries.pop_back();
       LazySortedPrefix neighbors(&entries, initial_block);
       run_candidate(neighbors);
+      for (int idx : removed_now) {
+        const int slot = u_slot[idx];
+        const int moved = u_sample.back();
+        u_mirror.SwapRemoveRow(slot);
+        u_sample[slot] = moved;
+        u_slot[moved] = slot;
+        u_sample.pop_back();
+      }
     }
   }
 
   // --- Orphan GBs: every remaining U-sample becomes a radius-0 ball. ---
+  // T is empty (U ⊆ L), so U's survivors are exactly the kLowDensity ones.
   for (int i = 0; i < n; ++i) {
-    if (!InU(state[i])) continue;
+    if (state[i] != SampleState::kLowDensity) continue;
     GranularBall ball;
     const double* xi = x.Row(i);
     ball.center.assign(xi, xi + p);

@@ -10,11 +10,15 @@
 //          = r_max(c)              otherwise                 (Eq.6)
 //
 // where CR is the locally-consistent radius (distance to the farthest of
-// the leading homogeneous neighbors), r_conf the distance to the nearest
-// previously generated ball's surface, and r_max the largest neighbor
-// distance not exceeding r_conf. Iteration ends when every undivided
-// sample is low-density (U ⊆ L); remaining samples become radius-0
-// "orphan" balls so the granulation is complete.
+// the leading homogeneous neighbors, kept strictly below the first
+// heterogeneous neighbor's distance, so a tie with it falls back to the
+// previous distinct distance or to 0), r_conf the distance to the
+// nearest previously generated ball's surface, and r_max the largest
+// neighbor distance not exceeding r_conf. Iteration ends when every
+// undivided sample is low-density (U ⊆ L); remaining samples become
+// radius-0 "orphan" balls so the granulation is complete. T = U − L is
+// kept per class incrementally (a Fenwick tree over each class's
+// samples), so a round costs O(q log n) bookkeeping, not an O(n) pass.
 #ifndef GBX_CORE_RD_GBG_H_
 #define GBX_CORE_RD_GBG_H_
 
@@ -45,10 +49,12 @@ struct RdGbgConfig {
   /// GbabsConfig::gbg.
   int num_threads = 0;
   /// How the per-candidate neighbor pass scans the shrinking undivided
-  /// set: kFlat is the parallel exhaustive scan, kTree a DynamicKdTree
-  /// that follows the U-set with tombstone deletions (asymptotically
-  /// cheaper from ~4k samples in indexable dimensionality), kAuto picks
-  /// by n and dims (index/index_strategy.h). The same knob drives the
+  /// set: kFlat is the parallel exhaustive scan, streaming the batched
+  /// SIMD kernel over a compacted SoA mirror of U whose departed rows
+  /// are swap-removed after each candidate; kTree a DynamicKdTree that
+  /// follows the U-set with tombstone deletions (asymptotically cheaper
+  /// from ~4k samples in indexable dimensionality); kAuto picks by n and
+  /// dims (index/index_strategy.h). The same knob drives the
   /// conflict-radius pass: kTree (and kAuto past a measured ball count)
   /// routes r_conf through an incremental BallSurfaceIndex over the
   /// generated balls instead of the flat per-ball gap scan. Every

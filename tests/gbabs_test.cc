@@ -1,6 +1,8 @@
 #include "core/gbabs.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -34,6 +36,131 @@ Dataset MakeGaussianBlobsForScanTest() {
   cfg.cluster_std = 0.9;
   Pcg32 rng(77);
   return MakeGaussianBlobs(cfg, &rng);
+}
+
+// The borderline scan as first written: a comparator that reads each
+// ball's center while sorting, and std::set accumulators. It is the
+// naive reference the key-sorted, flag-vector scan must reproduce.
+std::vector<int> NaiveBorderlineIndices(const GranularBallSet& balls,
+                                        std::vector<int>* borderline_ball_ids,
+                                        int max_scan_dimensions) {
+  const Matrix& x = balls.scaled_features();
+  auto extreme = [&](const GranularBall& ball, int dim, bool want_max) {
+    int best = ball.members[0];
+    for (int idx : ball.members) {
+      const double v = x.At(idx, dim);
+      const double best_v = x.At(best, dim);
+      if (want_max ? (v > best_v) : (v < best_v)) best = idx;
+    }
+    return best;
+  };
+  std::set<int> sampled;
+  std::set<int> borderline;
+  std::vector<int> order(balls.size());
+  std::iota(order.begin(), order.end(), 0);
+  for (int dim : BorderlineScanDimensions(balls, max_scan_dimensions)) {
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      const double va = balls.ball(a).center[dim];
+      const double vb = balls.ball(b).center[dim];
+      if (va != vb) return va < vb;
+      return a < b;
+    });
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      const GranularBall& left = balls.ball(order[i]);
+      const GranularBall& right = balls.ball(order[i + 1]);
+      if (left.label == right.label) continue;
+      borderline.insert(order[i]);
+      borderline.insert(order[i + 1]);
+      sampled.insert(extreme(left, dim, /*want_max=*/true));
+      sampled.insert(extreme(right, dim, /*want_max=*/false));
+    }
+  }
+  borderline_ball_ids->assign(borderline.begin(), borderline.end());
+  return std::vector<int>(sampled.begin(), sampled.end());
+}
+
+// Coordinates from a small set that holds both zeros, so centers share
+// coordinates and -0.0/0.0 ties reach the sort.
+Matrix TieHeavyFeatures(int n, int p, Pcg32* rng) {
+  static constexpr double kValues[] = {-1.0, -0.0, 0.0, 0.25, 0.5, 1.0};
+  Matrix x(n, p);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < p; ++j) x.At(i, j) = kValues[rng->NextBounded(6)];
+  }
+  return x;
+}
+
+// A hand-made granulation over tie-heavy features: samples split into
+// balls at random, each centered on a member, about a third of them
+// radius-0 singletons like RD-GBG's orphans.
+GranularBallSet RandomGranulation(std::uint64_t seed, int n, int p,
+                                  int classes) {
+  Pcg32 rng(seed);
+  Matrix x = TieHeavyFeatures(n, p, &rng);
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  rng.Shuffle(&order);
+  std::vector<GranularBall> balls;
+  for (int i = 0; i < n;) {
+    const int size = rng.NextBounded(3) == 0
+                         ? 1
+                         : 1 + static_cast<int>(rng.NextBounded(6));
+    GranularBall ball;
+    ball.members.assign(order.begin() + i,
+                        order.begin() + std::min(n, i + size));
+    i += size;
+    ball.center_index = ball.members.front();
+    ball.center.assign(x.Row(ball.center_index),
+                       x.Row(ball.center_index) + p);
+    ball.radius = ball.size() == 1 ? 0.0 : 1.0;
+    ball.label = static_cast<int>(rng.NextBounded(classes));
+    balls.push_back(std::move(ball));
+  }
+  return GranularBallSet(std::move(balls), std::move(x), classes);
+}
+
+// RD-GBG's own granulation of tie-heavy data (unscaled, so the signed
+// zeros survive into the centers): duplicate points, noise and orphans.
+GranularBallSet TieHeavyRdGbg(std::uint64_t seed, int n, int p, int classes) {
+  Pcg32 rng(seed);
+  Matrix x = TieHeavyFeatures(n, p, &rng);
+  std::vector<int> y(n);
+  for (int& label : y) label = static_cast<int>(rng.NextBounded(classes));
+  RdGbgConfig cfg;
+  cfg.scale_features = false;
+  cfg.seed = seed;
+  return GenerateRdGbg(Dataset(std::move(x), std::move(y), classes), cfg)
+      .balls;
+}
+
+TEST(GbabsBorderlineOracleTest, MatchesNaiveScan) {
+  int signed_zero_ties = 0;
+  int orphans = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const GranularBallSet granulations[] = {
+        RandomGranulation(seed, 300, 5, 3),
+        TieHeavyRdGbg(seed, 400, 4, 4)};
+    for (const GranularBallSet& balls : granulations) {
+      for (const GranularBall& ball : balls.balls()) {
+        if (ball.radius == 0.0) ++orphans;
+        if (ball.center[0] == 0.0 && std::signbit(ball.center[0])) {
+          ++signed_zero_ties;
+        }
+      }
+      for (int k : {0, 2}) {
+        std::vector<int> ids;
+        std::vector<int> naive_ids;
+        const std::vector<int> sampled =
+            SampleBorderlineIndices(balls, &ids, k);
+        EXPECT_EQ(sampled, NaiveBorderlineIndices(balls, &naive_ids, k))
+            << "seed=" << seed << " k=" << k;
+        EXPECT_EQ(ids, naive_ids) << "seed=" << seed << " k=" << k;
+      }
+    }
+  }
+  // The inputs must really hold the cases the oracle is for.
+  EXPECT_GT(signed_zero_ties, 0);
+  EXPECT_GT(orphans, 0);
 }
 
 TEST(GbabsTest, SampledIsSubsetWithoutDuplicates) {

@@ -1,13 +1,17 @@
 #include "core/rd_gbg.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "data/noise.h"
 #include "data/paper_suite.h"
+#include "data/scaler.h"
 #include "data/synthetic.h"
 
 namespace gbx {
@@ -222,6 +226,297 @@ TEST(RdGbgTest, UnscaledModeKeepsOriginalCoordinates) {
   const GranularBall& ball = result.balls.ball(0);
   for (int j = 0; j < ds.num_features(); ++j) {
     EXPECT_DOUBLE_EQ(ball.center[j], ds.feature(ball.center_index, j));
+  }
+}
+
+// Exact dist2 ties between the last homogeneous and the first
+// heterogeneous neighbor (Eq. 3): CR must stay strictly below the
+// heterogeneous distance, falling back to the previous distinct dist2,
+// or to 0. Integer coordinates, left unscaled, make the ties exact.
+// Group g centers a class-0 sample A at 100·g. Even groups add a class-0
+// neighbor at +1 and a class-1 one at -1: a tie at dist2 = 1, so CR
+// falls back to 0. Odd groups add class-0 neighbors at +1 and +2 and a
+// class-1 one at -2: a tie at dist2 = 4, so CR falls back to 1. The
+// homogeneous tied neighbor has the smaller index, so the (dist2, index)
+// order puts it ahead of the heterogeneous one.
+struct TiedNeighbors {
+  Dataset data;
+  std::vector<int> fallback_centers;  // the odd groups' A samples
+};
+
+TiedNeighbors MakeTiedNeighbors(int groups) {
+  std::vector<double> coords;
+  std::vector<int> labels;
+  TiedNeighbors out;
+  auto add = [&](double x, int label) {
+    coords.push_back(x);
+    labels.push_back(label);
+  };
+  for (int g = 0; g < groups; ++g) {
+    const double a = 100.0 * g;
+    if (g % 2 == 1) {
+      out.fallback_centers.push_back(static_cast<int>(coords.size()));
+    }
+    add(a, 0);
+    add(a + 1, 0);
+    if (g % 2 == 0) {
+      add(a - 1, 1);
+    } else {
+      add(a + 2, 0);
+      add(a - 2, 1);
+    }
+  }
+  Matrix x(static_cast<int>(coords.size()), 2, 0.0);
+  for (int i = 0; i < x.rows(); ++i) x.At(i, 0) = coords[i];
+  out.data = Dataset(std::move(x), std::move(labels));
+  return out;
+}
+
+TEST(RdGbgTieTest, TiedHeterogeneousNeighborStaysOutsideTheBall) {
+  const TiedNeighbors tied = MakeTiedNeighbors(24);
+  const Dataset& ds = tied.data;
+  int fallback_balls = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (IndexStrategy strategy : {IndexStrategy::kFlat, IndexStrategy::kTree}) {
+      RdGbgConfig cfg;
+      cfg.scale_features = false;
+      cfg.seed = seed;
+      cfg.num_threads = 1;
+      cfg.index_strategy = strategy;
+      const RdGbgResult result = GenerateRdGbg(ds, cfg);
+      EXPECT_TRUE(result.balls.CheckPurity(ds.y()))
+          << "seed=" << seed << " strategy=" << IndexStrategyName(strategy);
+      EXPECT_TRUE(result.balls.CheckContainment());
+      // An odd group's A gets radius 1 only from the fallback: with its
+      // class-1 neighbor already removed as noise, CR reaches +2.
+      for (const GranularBall& ball : result.balls.balls()) {
+        if (ball.radius == 1.0 &&
+            std::count(tied.fallback_centers.begin(),
+                       tied.fallback_centers.end(), ball.center_index) > 0) {
+          ++fallback_balls;
+        }
+      }
+    }
+  }
+  // The tie must really be hit: some seed draws an odd group's A while
+  // its tied heterogeneous neighbor is still in U.
+  EXPECT_GT(fallback_balls, 0);
+}
+
+// A deliberately naive transcription of Algorithm 1: every round
+// rebuilds T = U - L by class from scratch, every candidate fully sorts
+// its (dist2, index) list over the current U, and r_conf folds
+// EuclideanDistance - radius over every ball in order. No laziness, no
+// index, no SIMD, no incremental bookkeeping. CR is written from its
+// definition — the largest dist2 of the leading homogeneous run that is
+// strictly below the first heterogeneous dist2 — not from the
+// production loop's fallback.
+RdGbgResult NaiveRdGbg(const Dataset& ds, const RdGbgConfig& cfg) {
+  const int n = ds.size();
+  const int p = ds.num_features();
+  const int q = ds.num_classes();
+  Matrix x =
+      cfg.scale_features ? MinMaxScaler().FitTransform(ds.x()) : ds.x();
+  const std::vector<int>& y = ds.y();
+  enum class State { kInT, kLowDensity, kGone };
+  std::vector<State> state(n, State::kInT);
+  std::vector<GranularBall> balls;
+  RdGbgResult out;
+  Pcg32 rng(cfg.seed);
+  for (;;) {
+    std::vector<std::vector<int>> groups(q);
+    for (int i = 0; i < n; ++i) {
+      if (state[i] == State::kInT) groups[y[i]].push_back(i);
+    }
+    std::vector<int> order;
+    for (int c = 0; c < q; ++c) {
+      if (!groups[c].empty()) order.push_back(c);
+    }
+    if (order.empty()) break;
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return groups[a].size() > groups[b].size();
+    });
+    ++out.iterations;
+    std::vector<int> candidates;
+    for (int cls : order) {
+      candidates.push_back(groups[cls][rng.NextBounded(
+          static_cast<std::uint32_t>(groups[cls].size()))]);
+    }
+    for (int c : candidates) {
+      if (state[c] != State::kInT) continue;
+      const int label = y[c];
+      std::vector<std::pair<double, int>> nb;
+      for (int i = 0; i < n; ++i) {
+        if (i != c && state[i] != State::kGone) {
+          nb.emplace_back(SquaredDistance(x.Row(c), x.Row(i), p), i);
+        }
+      }
+      std::sort(nb.begin(), nb.end());
+      if (nb.empty()) {
+        state[c] = State::kLowDensity;
+        continue;
+      }
+      std::size_t begin = 0;
+      if (y[nb[0].second] != label) {
+        const int rho =
+            std::min(cfg.density_tolerance, static_cast<int>(nb.size()));
+        int h = 0;
+        for (int i = 0; i < rho; ++i) h += y[nb[i].second] != label;
+        if (h == rho) {
+          state[c] = State::kGone;
+          out.noise_indices.push_back(c);
+          continue;
+        }
+        if (h > 1) {
+          state[c] = State::kLowDensity;
+          continue;
+        }
+        state[nb[0].second] = State::kGone;
+        out.noise_indices.push_back(nb[0].second);
+        begin = 1;
+      }
+      double first_het = std::numeric_limits<double>::infinity();
+      for (std::size_t i = begin; i < nb.size(); ++i) {
+        if (y[nb[i].second] != label) {
+          first_het = nb[i].first;
+          break;
+        }
+      }
+      double cr2 = 0.0;
+      for (std::size_t i = begin; i < nb.size() && nb[i].first < first_het;
+           ++i) {
+        cr2 = nb[i].first;
+      }
+      double r_conf = std::numeric_limits<double>::infinity();
+      for (const GranularBall& b : balls) {
+        r_conf = std::min(
+            r_conf, EuclideanDistance(x.Row(c), b.center.data(), p) - b.radius);
+      }
+      r_conf = std::max(r_conf, 0.0);
+      double r2 = cr2;
+      if (cr2 > r_conf * r_conf) {
+        r2 = 0.0;
+        for (std::size_t i = begin;
+             i < nb.size() && nb[i].first <= r_conf * r_conf; ++i) {
+          r2 = nb[i].first;
+        }
+      }
+      if (r2 <= 0.0) {
+        state[c] = State::kLowDensity;
+        continue;
+      }
+      GranularBall ball;
+      ball.center.assign(x.Row(c), x.Row(c) + p);
+      ball.center_index = c;
+      ball.radius = std::sqrt(r2);
+      ball.label = label;
+      ball.members.push_back(c);
+      state[c] = State::kGone;
+      for (std::size_t i = begin; i < nb.size() && nb[i].first <= r2; ++i) {
+        ball.members.push_back(nb[i].second);
+        state[nb[i].second] = State::kGone;
+      }
+      balls.push_back(std::move(ball));
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    if (state[i] != State::kLowDensity) continue;
+    GranularBall ball;
+    ball.center.assign(x.Row(i), x.Row(i) + p);
+    ball.center_index = i;
+    ball.label = y[i];
+    ball.members.push_back(i);
+    balls.push_back(std::move(ball));
+    out.orphan_indices.push_back(i);
+  }
+  std::sort(out.noise_indices.begin(), out.noise_indices.end());
+  out.balls = GranularBallSet(std::move(balls), std::move(x), q);
+  return out;
+}
+
+void ExpectSameGranulation(const RdGbgResult& want, const RdGbgResult& got) {
+  ASSERT_EQ(want.iterations, got.iterations);
+  ASSERT_EQ(want.noise_indices, got.noise_indices);
+  ASSERT_EQ(want.orphan_indices, got.orphan_indices);
+  ASSERT_EQ(want.balls.size(), got.balls.size());
+  for (int i = 0; i < want.balls.size(); ++i) {
+    const GranularBall& a = want.balls.ball(i);
+    const GranularBall& b = got.balls.ball(i);
+    ASSERT_EQ(a.members, b.members) << "ball " << i;
+    ASSERT_EQ(a.center_index, b.center_index) << "ball " << i;
+    ASSERT_EQ(a.label, b.label) << "ball " << i;
+    ASSERT_EQ(a.center, b.center) << "ball " << i;
+    const double ra = a.radius, rb = b.radius;
+    ASSERT_EQ(ra, rb) << "ball " << i;
+  }
+}
+
+// Small seeded inputs, tie-heavy ones included: label-noisy blobs over
+// six unequal classes, coordinates from a five-value set (duplicate
+// points, exact dist2 ties, unscaled), the tied-neighbor groups, and
+// entries of magnitude 10^±8 with exact zeros, whose scaled distances
+// tie at tiny dist2.
+Dataset OracleInput(int which, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  if (which == 0) {
+    BlobsConfig cfg;
+    cfg.num_samples = 300;
+    cfg.num_features = 3;
+    cfg.num_classes = 6;
+    cfg.class_weights = {6.0, 4.0, 3.0, 2.0, 1.5, 1.0};
+    cfg.center_spread = 3.0;
+    Pcg32 noise_rng(seed + 1);
+    return WithClassNoise(MakeGaussianBlobs(cfg, &rng), 0.3, &noise_rng);
+  }
+  if (which == 1) {
+    static constexpr double kValues[] = {-1.0, 0.0, 0.5, 1.0, 3.0};
+    Matrix x(250, 3);
+    std::vector<int> y(250);
+    for (int i = 0; i < 250; ++i) {
+      for (int j = 0; j < 3; ++j) x.At(i, j) = kValues[rng.NextBounded(5)];
+      y[i] = static_cast<int>(rng.NextBounded(3));
+    }
+    return Dataset(std::move(x), std::move(y), 3);
+  }
+  if (which == 2) return MakeTiedNeighbors(16).data;
+  Matrix x(200, 4);
+  std::vector<int> y(200);
+  for (int i = 0; i < 200; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      x.At(i, j) = rng.NextBounded(20) == 0
+                       ? 0.0
+                       : std::pow(10.0, rng.NextInt(-8, 8)) *
+                             rng.NextGaussian();
+    }
+    y[i] = static_cast<int>(rng.NextBounded(3));
+  }
+  return Dataset(std::move(x), std::move(y), 3);
+}
+
+TEST(RdGbgOracleTest, MatchesNaiveAlgorithmOneOnEveryStrategy) {
+  for (int which = 0; which < 4; ++which) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const Dataset ds = OracleInput(which, seed);
+      RdGbgConfig cfg;
+      cfg.seed = 10 * seed + which;
+      cfg.scale_features = which == 0 || which == 3;
+      const RdGbgResult want = NaiveRdGbg(ds, cfg);
+      for (IndexStrategy strategy :
+           {IndexStrategy::kFlat, IndexStrategy::kTree,
+            IndexStrategy::kAuto}) {
+        for (int threads : {1, 4}) {
+          cfg.index_strategy = strategy;
+          cfg.num_threads = threads;
+          SCOPED_TRACE(::testing::Message()
+                       << "input=" << which << " seed=" << seed
+                       << " strategy=" << IndexStrategyName(strategy)
+                       << " threads=" << threads);
+          const RdGbgResult got = GenerateRdGbg(ds, cfg);
+          ExpectSameGranulation(want, got);
+          EXPECT_TRUE(got.balls.CheckPurity(ds.y()));
+        }
+      }
+    }
   }
 }
 

@@ -408,9 +408,12 @@ TEST_F(SimdKernelOracleTest, NonFiniteEverywhere) {
   }
 }
 
-// GatherRows is the production tiling path (rd_gbg candidate fill):
-// scattered indices, reused buffer (Clear keeps capacity), ragged tail.
-TEST_F(SimdKernelOracleTest, GatherRowsTilesBitExact) {
+// SwapRemoveRow is how RD-GBG keeps its SoA mirror of U compact (the
+// flat candidate fill streams it directly): after every removal — an
+// inner row, the last row, one that empties a block — the kernel over
+// the compacted rows is still bit exact against the rows they map to,
+// and the vacated lanes read as zero padding.
+TEST_F(SimdKernelOracleTest, SwapRemoveRowKeepsMirrorBitExact) {
   ScopedSimdEnv env;
   Pcg32 rng(20260808);
   const int d = 9;
@@ -421,25 +424,39 @@ TEST_F(SimdKernelOracleTest, GatherRowsTilesBitExact) {
   }
   std::vector<double> q(d);
   for (int j = 0; j < d; ++j) q[j] = rng.NextGaussian();
-  std::vector<int> idx(total);
-  for (int i = 0; i < total; ++i) idx[i] = i;
-  rng.Shuffle(&idx);
   for (Level level : AllLevels()) {
     if (!env.Force(level)) continue;
-    SoaMatrix tile;  // reused across tiles, like the hot loop does
-    std::vector<double> d2;
-    for (int tile_size : {5, 8, 11, 16, 57}) {
-      for (int t = 0; t < total; t += tile_size) {
-        const int cnt = std::min(tile_size, total - t);
-        tile.GatherRows(base, idx.data() + t, cnt);
-        ASSERT_EQ(tile.rows(), cnt);
-        d2.assign(cnt, -1.0);
-        SquaredDistanceBatch(q.data(), tile, 0, cnt, d2.data());
-        for (int r = 0; r < cnt; ++r) {
-          ASSERT_BIT_EQ(d2[r],
-                        RefSquaredDistance(q.data(), base.Row(idx[t + r]), d))
-              << LevelName(level) << " tile_size=" << tile_size << " t=" << t
-              << " r=" << r;
+    Pcg32 order(7);
+    for (int pass = 0; pass < 2; ++pass) {
+      SoaMatrix mirror = SoaMatrix::FromMatrix(base);
+      std::vector<int> sample(total);
+      for (int i = 0; i < total; ++i) sample[i] = i;
+      std::vector<double> d2;
+      while (mirror.rows() > 0) {
+        const int rows = mirror.rows();
+        const int r = static_cast<int>(
+            order.NextBounded(static_cast<std::uint32_t>(rows)));
+        mirror.SwapRemoveRow(r);
+        sample[r] = sample[rows - 1];
+        sample.pop_back();
+        ASSERT_EQ(mirror.rows(), rows - 1);
+        d2.assign(mirror.rows(), -1.0);
+        SquaredDistanceBatch(q.data(), mirror, 0, mirror.rows(), d2.data());
+        for (int i = 0; i < mirror.rows(); ++i) {
+          ASSERT_BIT_EQ(d2[i],
+                        RefSquaredDistance(q.data(), base.Row(sample[i]), d))
+              << LevelName(level) << " rows=" << mirror.rows() << " i=" << i;
+        }
+        const int block_end =
+            (mirror.rows() + kSoaBlock - 1) / kSoaBlock * kSoaBlock;
+        for (int i = mirror.rows(); i < block_end; ++i) {
+          for (int c = 0; c < d; ++c) {
+            const std::size_t at =
+                (static_cast<std::size_t>(i / kSoaBlock) * d + c) *
+                    kSoaBlock +
+                i % kSoaBlock;
+            ASSERT_EQ(mirror.data()[at], 0.0) << "padding lane " << i;
+          }
         }
       }
     }

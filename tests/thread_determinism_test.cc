@@ -13,6 +13,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/rd_gbg.h"
+#include "data/noise.h"
 #include "data/synthetic.h"
 #include "ml/gb_knn.h"
 #include "sampling/kmeans.h"
@@ -145,6 +146,46 @@ TEST_P(RdGbgStrategyEquivalenceTest, TreeStrategiesMatchFlatBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(SyntheticDatasets, RdGbgStrategyEquivalenceTest,
                          ::testing::Range(0, 4));
+
+// A departure-heavy granulation: seven classes of unequal size under
+// 35 % label noise, so an earlier candidate of a round can remove a
+// later one as noise, draws land all over each class's Fenwick tree of
+// T, the flat pass swap-removes mirror rows after every candidate, and
+// classes can tie on |T_c| in the round order. The flat mirror, the tree
+// and kAuto must agree bit for bit at 1 and 4 threads.
+Dataset NoisyUnequalClasses() {
+  BlobsConfig cfg;
+  cfg.num_samples = 1500;
+  cfg.num_features = 5;
+  cfg.num_classes = 7;
+  cfg.class_weights = {8.0, 5.0, 4.0, 3.0, 2.0, 1.5, 1.0};
+  cfg.center_spread = 3.0;
+  cfg.cluster_std = 1.0;
+  Pcg32 rng(325);
+  const Dataset clean = MakeGaussianBlobs(cfg, &rng);
+  Pcg32 noise_rng(326);
+  return WithClassNoise(clean, 0.35, &noise_rng);
+}
+
+TEST(RdGbgDepartureHeavyTest, FlatTreeAutoAgreeBitForBit) {
+  const Dataset ds = NoisyUnequalClasses();
+  RdGbgConfig cfg;
+  cfg.seed = 401;
+  cfg.num_threads = 1;
+  cfg.index_strategy = IndexStrategy::kFlat;
+  const RdGbgResult reference = GenerateRdGbg(ds, cfg);
+  ASSERT_FALSE(reference.noise_indices.empty());
+  for (IndexStrategy strategy :
+       {IndexStrategy::kFlat, IndexStrategy::kTree, IndexStrategy::kAuto}) {
+    for (int threads : {1, 4}) {
+      cfg.index_strategy = strategy;
+      cfg.num_threads = threads;
+      const RdGbgResult run = GenerateRdGbg(ds, cfg);
+      SCOPED_TRACE(IndexStrategyName(strategy));
+      ExpectIdenticalGranulation(reference, run, threads);
+    }
+  }
+}
 
 // GB-kNN's ball-center scan has the same contract: the center tree and
 // the flat scan must vote out identical labels for every query.
